@@ -18,7 +18,7 @@ from .surface import LogSurfacePoint, QuadratureResult, Tolerances, log_surface_
 from .catalog import (AdmissibleFunction, AuditReport, FunctionSpec,
                       PositiveTypeSpec, SlowlyVaryingEll, audit_admissibility,
                       build, build_positive_type, build_theorem3, ell_power,
-                      ell_exp_sqrt_log, exp_scale, from_log_gamma_jet,
+                      ell_exp_sqrt_log, exp_scale,
                       gamma_shift, iterated_log, log_of_scale,
                       monomial_exponent, positive_type_degenerate,
                       positive_type_factorial, positive_type_iterated_log,

@@ -22,11 +22,16 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import BuildError, SpecError
+from .errors import BuildError, NoSaddleError, SpecError
 from .jet import Jet2
 from .special import digamma, loggamma, trigamma
 
 _EULER_GAMMA = 0.5772156649015328606
+
+# Phi comes from the jet while Re w = log|s| stays below this.  Past
+# |s| ~ 1e154 the jets' s^2 overflows and d2 drops a term, so Newton on
+# (Phi, dPhi/dw) would converge only linearly; the cut keeps a margin.
+_JET_LOG_RADIUS = 300.0
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _LOGK_UNIT[k]
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
@@ -89,14 +94,6 @@ class AdmissibleFunction:
     def d2log_gamma(self, s):
         return self._scalar_ok(s, self.jet(s).d2)
 
-    # Phi is the left-hand side of the saddle equation: Phi(s) = log L + eps.
-    phi = dlog_gamma
-    phi_prime = d2log_gamma
-
-    def log_L(self, s):
-        sa = np.asarray(s, dtype=complex)
-        return self._scalar_ok(s, self.jet(sa).val / sa)
-
     def epsilon(self, s):
         sa = np.asarray(s, dtype=complex)
         j = self.jet(sa)
@@ -108,17 +105,36 @@ class AdmissibleFunction:
         eps = j.d1 - j.val / sa
         return self._scalar_ok(s, j.d2 - eps / sa)
 
-    # -- log-domain access for saddles beyond double range -------------------
+    # -- Phi in w = log s, for the saddle solver ------------------------------
 
     @property
     def has_log_domain(self) -> bool:
+        """True when the family gives Phi past |s| = e^300 as well."""
         return self._phi_log_fn is not None
 
     def phi_log(self, w):
-        """(Phi(e^w), dPhi/dw) for weights that support huge |s| = e^{Re w}."""
+        """(Phi(e^w), dPhi/dw) at the points w = log s.
+
+        Taken from the jet while Re w < 300 and from the family's
+        asymptotic form past that; a weight without one raises
+        NoSaddleError there.
+        """
+        w = np.asarray(w, dtype=complex)
+        far = w.real >= _JET_LOG_RADIUS
+        if not np.any(far):
+            s = np.exp(w)
+            j = self.jet(s)
+            return j.d1, s * j.d2
         if self._phi_log_fn is None:
-            raise BuildError(f"{self.label}: no log-domain evaluation available")
-        return self._phi_log_fn(np.asarray(w, dtype=complex))
+            raise NoSaddleError(f"{self.label}: Phi is known only from the jet, "
+                                f"up to |s| = e^{_JET_LOG_RADIUS:g}")
+        if np.all(far):
+            return self._phi_log_fn(w)
+        phi = np.empty_like(w)
+        dphi = np.empty_like(w)
+        phi[~far], dphi[~far] = self.phi_log(w[~far])
+        phi[far], dphi[far] = self._phi_log_fn(w[far])
+        return phi, dphi
 
     # -- cached metadata ------------------------------------------------------
 
@@ -205,14 +221,7 @@ def gamma_shift(c: float = 0.0, label: Optional[str] = None) -> AdmissibleFuncti
 
     def phi_log_fn(w):
         # digamma(s) ~ log s once |s| is huge; ds/dw * psi'(s) = s psi'(s) -> 1
-        out_phi = np.array(w, dtype=complex, copy=True)
-        out_dphi = np.ones_like(out_phi)
-        small = w.real < 300.0
-        if np.any(small):
-            s = np.exp(w[small]) + c
-            out_phi[small] = digamma(s)
-            out_dphi[small] = s * trigamma(s)
-        return out_phi, out_dphi
+        return w.copy(), np.ones_like(w)
 
     return AdmissibleFunction(label or (f"gamma(s+{c:g})" if c else "gamma(s)"),
                               jet_fn, c, math.pi, phi_log_fn=phi_log_fn)
@@ -246,23 +255,10 @@ def iterated_log(a: float = 1.0, b: float = 1.0, k: int = 1,
         return Jet2.variable(s) * m * ab
 
     def phi_log_fn(w):
-        # For Re w >> 1 treat s + c as s exactly (relative error e^{-Re w}).
-        out_phi = np.empty_like(w)
-        out_dphi = np.empty_like(w)
-        big = w.real >= 300.0
-        if np.any(big):
-            jw = Jet2.variable(w[big])            # jet in w = log s
-            mk = _iterated_log_jet(jw, k)         # log_{k+1}(s) as a jet in w
-            # Phi(s) = a b (M + s M') with M = log_{k+1}; s M' = dM/dw.
-            phi_jet = (mk + Jet2(mk.d1, mk.d2, 0.0 * mk.d2)) * ab
-            out_phi[big] = phi_jet.val
-            out_dphi[big] = phi_jet.d1
-        if np.any(~big):
-            s = np.exp(w[~big])
-            j = jet_fn(s)
-            out_phi[~big] = j.d1
-            out_dphi[~big] = s * j.d2
-        return out_phi, out_dphi
+        # Phi(s) = a b (M + s M') with M = log_{k+1}(s), s + c taken as s
+        # (relative error e^{-Re w}); s M' = dM/dw, so work in the jet in w
+        mk = _iterated_log_jet(Jet2.variable(w), k)
+        return (mk.val + mk.d1) * ab, (mk.d1 + mk.d2) * ab
 
     c_gamma = c - _logk_unit(k)
     lbl = label or f"(log_{k}(s+{c:g})^{b:g})^({a:g}s)"
@@ -404,17 +400,6 @@ def log_of_scale(child: AdmissibleFunction,
                               jet_fn, c_new, child.alpha0)
 
 
-def from_log_gamma_jet(label: str, jet_fn: Callable[[np.ndarray], Jet2],
-                       c_gamma: float, alpha0: float = math.pi,
-                       **flags) -> AdmissibleFunction:
-    """Low-level constructor for weights given directly as a log-gamma jet.
-
-    Handy for controls that are deliberately outside the admissible class
-    (audits and divergence checks still run on them).
-    """
-    return AdmissibleFunction(label, jet_fn, c_gamma, alpha0, **flags)
-
-
 def monomial_exponent(p: float, coeff: float = 1.0) -> AdmissibleFunction:
     """gamma(s) = exp(coeff * s^p); p > 1 controls for audits/Carleman."""
 
@@ -422,7 +407,7 @@ def monomial_exponent(p: float, coeff: float = 1.0) -> AdmissibleFunction:
         return Jet2(coeff * s ** p, coeff * p * s ** (p - 1.0),
                     coeff * p * (p - 1.0) * s ** (p - 2.0))
 
-    return from_log_gamma_jet(f"exp({coeff:g}*s^{p:g})", jet_fn, 1.0, math.pi)
+    return AdmissibleFunction(f"exp({coeff:g}*s^{p:g})", jet_fn, 1.0, math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -479,53 +464,63 @@ _ELL_PRESETS = {
 }
 
 
+def _cauchy_sums(s, u, w):
+    """sum_j w_j (s + u_j)^{-m} for m = 1, 2, 3 at the flat complex points s,
+    taken in blocks of about 4e6 terms."""
+    i1 = np.empty_like(s)
+    i2 = np.empty_like(s)
+    i3 = np.empty_like(s)
+    chunk = max(1, int(4e6 // max(u.size, 1)))
+    for k in range(0, s.size, chunk):
+        d = s[k:k + chunk, None] + u[None, :]
+        r = w[None, :] / d
+        i1[k:k + chunk] = r.sum(axis=1)
+        r /= d
+        i2[k:k + chunk] = r.sum(axis=1)
+        r /= d
+        i3[k:k + chunk] = r.sum(axis=1)
+    return i1, i2, i3
+
+
 class _CauchyKernelGrid:
-    """Fixed quadrature grid for integrals int f(u) (u+s)^{-m} du, m = 1..3.
+    """Fixed quadrature grids for integrals int f(u) (u+s)^{-m} du, m = 1..3.
 
     Nodes come with the density already folded into the weights, so the
-    three integrals are plain broadcast sums; the grid lazily extends when
-    asked about |s| beyond its current coverage.
+    three integrals are plain broadcast sums.  A call uses the grid that
+    covers |s| up to the least power of ten (1e8 at the smallest) above
+    its own largest |s|; each grid is built once, so no value depends on
+    the calls made before it.
     """
 
-    def __init__(self, weight_at, c, s_cover=1e8, panel_len=0.5, margin=45.0):
+    def __init__(self, weight_at, c, panel_len=0.5, margin=45.0):
         self._weight_at = weight_at   # u-array -> f(u) * du/dv jacobian folded
         self.c = float(c)
         self.panel_len = float(panel_len)
         self.margin = float(margin)
-        self._build(s_cover)
+        self._grids = {}
 
-    def _build(self, s_cover):
-        self.s_cover = float(s_cover)
-        v_max = math.log(max(self.s_cover, 10.0) / self.c) + self.margin
-        n_panels = max(8, int(math.ceil(v_max / self.panel_len)))
-        x, w = np.polynomial.legendre.leggauss(15)
-        edges = np.linspace(0.0, v_max, n_panels + 1)
-        half = 0.5 * np.diff(edges)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-        wv = (half[:, None] * w[None, :]).ravel()
-        self.u = self.c * np.exp(v)
-        self.w = wv * self._weight_at(self.u)
+    def _grid(self, s_cover):
+        if s_cover not in self._grids:
+            v_max = math.log(s_cover / self.c) + self.margin
+            n_panels = max(8, int(math.ceil(v_max / self.panel_len)))
+            x, w = np.polynomial.legendre.leggauss(15)
+            edges = np.linspace(0.0, v_max, n_panels + 1)
+            half = 0.5 * np.diff(edges)
+            mid = 0.5 * (edges[:-1] + edges[1:])
+            v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+            wv = (half[:, None] * w[None, :]).ravel()
+            u = self.c * np.exp(v)
+            self._grids[s_cover] = (u, wv * self._weight_at(u))
+        return self._grids[s_cover]
 
     def integrals(self, s):
         """I1, I2, I3 at the (flat complex array) points s."""
         s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
         amax = float(np.max(np.abs(s))) if s.size else 1.0
-        if amax > self.s_cover:
-            self._build(10.0 * amax)
-        i1 = np.empty_like(s)
-        i2 = np.empty_like(s)
-        i3 = np.empty_like(s)
-        chunk = max(1, int(4e6 // max(self.u.size, 1)))
-        for k in range(0, s.size, chunk):
-            d = s[k:k + chunk, None] + self.u[None, :]
-            r = self.w[None, :] / d
-            i1[k:k + chunk] = r.sum(axis=1)
-            r /= d
-            i2[k:k + chunk] = r.sum(axis=1)
-            r /= d
-            i3[k:k + chunk] = r.sum(axis=1)
-        return i1, i2, i3
+        s_cover = 1e8
+        while s_cover < amax:
+            s_cover *= 10.0
+        return _cauchy_sums(s, *self._grid(s_cover))
 
 
 def build_theorem3(ell: SlowlyVaryingEll,
@@ -546,9 +541,7 @@ def build_theorem3(ell: SlowlyVaryingEll,
         return Jet2(val, d1, d2)
 
     lbl = label or f"scale[{ell.label}, c={ell.c:g}]"
-    f = AdmissibleFunction(lbl, jet_fn, ell.c, math.pi)
-    f.ell = ell
-    return f
+    return AdmissibleFunction(lbl, jet_fn, ell.c, math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +639,7 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
     def jet_fn(s):
         shape = s.shape
         flat = s.ravel()
-        i1 = np.empty_like(flat)
-        i2 = np.empty_like(flat)
-        i3 = np.empty_like(flat)
-        chunk = max(1, int(4e6 // max(u.size, 1)))
-        for kk in range(0, flat.size, chunk):
-            d = flat[kk:kk + chunk, None] + u[None, :]
-            r = wts[None, :] / d
-            i1[kk:kk + chunk] = r.sum(axis=1)
-            r /= d
-            i2[kk:kk + chunk] = r.sum(axis=1)
-            r /= d
-            i3[kk:kk + chunk] = r.sum(axis=1)
+        i1, i2, i3 = _cauchy_sums(flat, u, wts)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
             t1, t2, t3 = _tail_closed_forms(flat, cut, k1, k2, saw)
             i1, i2, i3 = i1 + t1, i2 + t2, i3 + t3
@@ -673,10 +655,8 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
     if pos.size:
         support_inf = float(u[pos[0]])
     c_gamma = max(support_inf, 0.0)
-    f = AdmissibleFunction(spec.label, jet_fn, c_gamma, math.pi,
-                           positive_type=True, degenerate=degenerate)
-    f.positive_spec = spec
-    return f
+    return AdmissibleFunction(spec.label, jet_fn, c_gamma, math.pi,
+                              positive_type=True, degenerate=degenerate)
 
 
 def positive_type_factorial(cut: int = 400) -> PositiveTypeSpec:

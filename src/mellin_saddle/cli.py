@@ -157,8 +157,13 @@ def _emit(rows, columns, args) -> None:
             w.writerow({k: (f"{v:.17g}" if isinstance(v, float) else v)
                         for k, v in r.items()})
         text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    _write(text, args.out)
+
+
+def _write(text: str, out: Optional[str]) -> None:
+    """Write text to the --out path, or to stdout when none is given."""
+    if out:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -227,12 +232,8 @@ def _run_saddle(args) -> int:
                 "residual": sol.residual, "iterations": sol.iterations,
                 "region": tag.kind,
             })
-    text = json.dumps(out if len(out) > 1 else out[0], sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(out if len(out) > 1 else out[0], sort_keys=True, indent=2)
+           + "\n", args.out)
     return 0
 
 
@@ -321,24 +322,14 @@ def _run_verify(args) -> int:
             require_monotone_tail=not args.waive_monotone_tail, tol=tols)
     else:
         raise SpecError(f"unknown verify suite {suite!r}")
-    text = rep.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(rep.to_json() + "\n", args.out)
     return 0 if rep.passed else 1
 
 
 def _run_audit(args) -> int:
     f = build(_load_spec(args.spec))
     rep = audit_admissibility(f)
-    text = json.dumps(rep.to_dict(), sort_keys=True, indent=2)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0 if rep.passed else 1
 
 

@@ -46,10 +46,6 @@ class ContinuationError(NumericalError):
         super().__init__(f"{message} (last good t={last_t:.6g}, s={last_s:.6g})")
 
 
-class SingularJacobianError(NumericalError):
-    """Phi'(s) vanished (relative to eps(rho)/rho) during a Newton step."""
-
-
 class QuadratureError(NumericalError):
     """A quadrature did not converge within the node budget."""
 

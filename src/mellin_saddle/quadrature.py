@@ -162,32 +162,3 @@ def scan_drop(logmag, t0, t_lo, t_hi, *, drop_log, factor=1.6,
         step *= factor
     return t, peak_t, peak
 
-
-def bisect_to_drop(logmag, t_peak, t_outside, peak_val, drop_log, iters=60):
-    """Refine a truncation point where logmag = peak - drop_log between
-    t_peak and a point already below the drop."""
-    lo, hi = t_peak, t_outside
-    target = peak_val - drop_log
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if logmag(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) <= 1e-3 * (abs(hi) + abs(lo) + 1.0):
-            break
-    return hi
-
-
-def neumaier_sum(values) -> float:
-    """Compensated sum of a 1-d float array."""
-    s = 0.0
-    comp = 0.0
-    for x in values:
-        t = s + x
-        if abs(s) >= abs(x):
-            comp += (s - t) + x
-        else:
-            comp += (x - t) + s
-        s = t
-    return s + comp

@@ -1,16 +1,20 @@
 """Solving the saddle equation Phi(s) = log z and classifying regions.
 
-Phi = (log gamma)' is strictly increasing on the positive ray and
-univalent in the sector S(alpha, rho0) for rho0 large enough, so the
-strategy is: solve on the ray by safeguarded Newton, then continue the
-root in the argument psi at fixed log r, Newton-correcting each step.
-If the continuation drives the root's argument to the sector edge before
-the target sheet is reached, the point has no saddle there and is tagged
-accordingly.
+One solver, in w = log s, on (Phi(e^w), dPhi/dw) from
+AdmissibleFunction.phi_log: the weight's jet while Re w < 300, its
+family's asymptotic form past that.  Phi is strictly increasing on the
+positive ray and univalent in the sector S(alpha, rho0) for rho0 large
+enough, so a saddle is found in two stages:
 
-Weights exposing a log-domain Phi (phi_log) can be solved for saddles far
-beyond the double range; the solution then carries log_rho_z while rho_z
-itself may be inf.
+* the ray root x = log rho of Phi(e^x) = log r, by bracketing and
+  safeguarded Newton in x;
+* a Newton continuation in w from x toward log z = log r + i psi, with
+  theta_z = Im w.  If theta_z reaches the sector edge before psi is
+  reached, the point has no saddle there and is tagged accordingly.
+
+solve_real and solve refuse saddle radii past 1e290.  solve_real_log,
+solve_log_domain and boundary_psi reach them with the same solver; a
+solution there carries log_rho_z while rho_z itself is inf.
 """
 from __future__ import annotations
 
@@ -21,12 +25,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .catalog import AdmissibleFunction
-from .errors import ContinuationError, NoSaddleError, SingularJacobianError
+from .catalog import _JET_LOG_RADIUS, AdmissibleFunction
+from .errors import ContinuationError, NoSaddleError
 from .surface import LogSurfacePoint, Tolerances
 
 _EDGE_DELTA = 0.02          # sector-edge margin alpha0 - delta for continuation
-_MAX_RHO_DOUBLE = 1e290
+_LOG_RHO_MAX = math.log(1e290)    # solve_real and solve stay in double range
+_LOG_RHO_MIN = math.log(1e-280)   # e^w below this is not evaluated
 
 
 @dataclass(frozen=True)
@@ -59,143 +64,172 @@ class RegionTag:
         return f"{self.kind}(alpha={a}, rho0={self.rho0_used:.6g})"
 
 
-def _phi_ray(f: AdmissibleFunction, rho: float) -> Tuple[float, float]:
-    j = f.jet(np.complex128(rho))
-    return float(np.real(j.d1)), float(np.real(j.d2))
+def _phi_w(f: AdmissibleFunction, w: complex) -> Tuple[complex, complex]:
+    """(Phi(e^w), dPhi/dw); NoSaddleError where Phi cannot be evaluated."""
+    if not w.real >= _LOG_RHO_MIN:
+        raise NoSaddleError(f"{f.label}: |s| = e^{w.real:.6g} is below the "
+                            "range of Phi")
+    phi, dphi = f.phi_log(w)
+    return complex(phi), complex(dphi)
 
 
-def solve_real(f: AdmissibleFunction, log_r: float, *,
-               tol: Optional[Tolerances] = None) -> float:
-    """Root of Phi(rho) = log_r on the positive ray (bracket + Newton).
+def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
+    """x = log rho with Phi(e^x) = target on the positive ray.
 
-    Raises NoSaddleError when log_r is below Phi's range on the ray, or
-    when the root lies beyond the double range (use the log-domain solver
-    for such weights).
+    The bracket steps rho by x3 upward or x1/4 downward while |x| < 300,
+    and doubles its step in x past that; safeguarded Newton in x follows.
     """
-    tol = tol or Tolerances.for_root_finding()
-    target = float(log_r)
-    rho_lo = rho_hi = max(1.0, 1.5 * f.c_gamma + 0.5)
-    g_mid, _ = _phi_ray(f, rho_lo)
-
-    # bracket the root: Phi is increasing on the ray
-    if g_mid < target:
-        for _ in range(300):
-            rho_hi *= 3.0
-            if rho_hi > _MAX_RHO_DOUBLE:
-                raise NoSaddleError(
-                    f"{f.label}: saddle radius for log_r={target:.6g} exceeds "
-                    "the double range; use solve_real_log")
-            if _phi_ray(f, rho_hi)[0] >= target:
-                break
-        else:  # pragma: no cover
-            raise NoSaddleError("bracket expansion failed upward")
-    else:
-        floor = 1e-280
-        prev = g_mid
-        stalls = 0
-        for _ in range(300):
-            rho_lo *= 0.25
-            if rho_lo < floor:
-                raise NoSaddleError(
-                    f"{f.label}: log_r={target:.6g} below the range of Phi "
-                    f"on the ray (no saddle)")
-            g_lo = _phi_ray(f, rho_lo)[0]
-            if g_lo <= target:
-                break
+    rho = max(1.0, 1.5 * f.c_gamma + 0.5)
+    x0 = x = math.log(rho)
+    g_prev = _phi_w(f, x0)[0].real
+    up = g_prev < target
+    factor = 3.0 if up else 0.25
+    step = math.log(factor)
+    stalls = 0
+    for _ in range(400):
+        if abs(x) < _JET_LOG_RADIUS:
+            rho *= factor
+            x = math.log(rho)
+        else:
+            step *= 2.0
+            x += step
+        g = _phi_w(f, x)[0].real
+        if (g >= target) if up else (g <= target):
+            break
+        if not up:
             # Phi bounded below on the ray (weights regular at the origin):
-            # bail out early instead of walking to the underflow floor
-            stalls = stalls + 1 if prev - g_lo < 1e-3 * (1.0 + abs(g_lo)) else 0
-            prev = g_lo
+            # give up early instead of walking to the underflow floor
+            stalls = stalls + 1 if g_prev - g < 1e-3 * (1.0 + abs(g)) else 0
+            g_prev = g
             if stalls >= 3:
                 raise NoSaddleError(
                     f"{f.label}: Phi on the ray is bounded below by about "
-                    f"{g_lo:.6g} > log_r = {target:.6g} (no saddle)")
-        else:  # pragma: no cover
-            raise NoSaddleError("bracket expansion failed downward")
+                    f"{g:.6g} > log_r = {target:.6g} (no saddle)")
+    else:
+        raise NoSaddleError(f"{f.label}: no bracket for log_r = {target:.6g}")
 
-    # safeguarded Newton in log rho (Phi varies on logarithmic scale)
-    lo, hi = math.log(rho_lo), math.log(rho_hi)
+    lo, hi = (x0, x) if up else (x, x0)
     x = 0.5 * (lo + hi)
     for _ in range(200):
-        rho = math.exp(x)
-        g, gp = _phi_ray(f, rho)
-        resid = g - target
-        if abs(resid) <= tol.rel_tol * (1.0 + abs(target)):
-            return rho
+        phi, dphi = _phi_w(f, x)
+        resid = phi.real - target
+        if abs(resid) <= rel_tol * (1.0 + abs(target)):
+            return x
         if resid > 0:
             hi = x
         else:
             lo = x
-        slope = gp * rho            # dPhi/d(log rho)
+        slope = dphi.real
         step = -resid / slope if slope > 0 else math.nan
         x_new = x + step
         if not (lo < x_new < hi):   # Newton left the bracket: bisect
             x_new = 0.5 * (lo + hi)
         x = x_new
-    raise NoSaddleError(f"{f.label}: ray solve stalled, bracket "
-                        f"[{math.exp(lo):.6g}, {math.exp(hi):.6g}]")
+    raise NoSaddleError(f"{f.label}: ray solve stalled, log rho bracket "
+                        f"[{lo:.6g}, {hi:.6g}]")
+
+
+def _exp_w(w: complex) -> Tuple[complex, float]:
+    """(s, |s|) = (e^w, e^Re w), inf where they leave the double range."""
+    if w.real < 700:
+        return cmath.exp(w), math.exp(w.real)
+    return complex(math.inf, math.inf), math.inf
+
+
+def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
+              tol_resid: float):
+    """Newton for Phi(e^w) = target from w: (w, |resid|, evaluations), or
+    None when it does not converge in 12 evaluations or a step leaves the
+    range of Phi (e^w underflows, dPhi/dw is 0 or not finite)."""
+    for it in range(1, 13):
+        try:
+            phi, dphi = _phi_w(f, w)
+        except NoSaddleError:
+            return None
+        resid = phi - target
+        if abs(resid) <= tol_resid:
+            return w, abs(resid), it
+        if dphi == 0 or not cmath.isfinite(dphi):
+            return None
+        w = w - resid / dphi
+    return None
+
+
+def _continue(f: AdmissibleFunction, x: float, log_z: complex,
+              rel_tol: float) -> Optional[SaddleSolution]:
+    """Continue the ray root x to the saddle of log_z = log r + i psi.
+
+    Steps of psi start near 0.25 |dPhi/dw| (theta_z then moves about
+    0.25 rad per step); a step is accepted when Newton converges, and dt
+    halves when it took more than 5 evaluations or failed.  None when
+    theta_z reaches the sector edge first.
+    """
+    psi = log_z.imag
+    edge = f.alpha0 - _EDGE_DELTA
+    tol_resid = rel_tol * (1.0 + abs(log_z))
+    w = complex(x)
+    phi, dphi = _phi_w(f, w)
+    resid = abs(phi - log_z)
+    total_iters = 1
+    n_steps = max(1, int(math.ceil(abs(psi) / (0.25 * max(abs(dphi), 1e-12)))))
+    dt = 1.0 / n_steps
+    t = 0.0 if psi != 0.0 else 1.0
+    halvings = 0
+    while t < 1.0 - 1e-15:
+        t_next = min(1.0, t + dt)
+        step = _newton_w(f, w, complex(log_z.real, t_next * psi), tol_resid)
+        ok = step is not None and abs(step[0].imag) < math.pi + 1.0
+        if ok:
+            w, resid, iters = step
+            t = t_next
+            total_iters += iters
+            if abs(w.imag) >= edge:
+                return None
+        if not ok or iters > 5:      # failed or slow: refine the step
+            dt *= 0.5
+            halvings += 1
+            if halvings > 60:
+                raise ContinuationError(
+                    f"{f.label}: continuation breakdown toward psi={psi:.6g}",
+                    last_t=t, last_s=_exp_w(w)[0])
+    s_z, rho = _exp_w(w)
+    return SaddleSolution(s_z, rho, w.imag, resid, total_iters, log_rho_z=w.real)
+
+
+def _ray_in_range(f: AdmissibleFunction, log_r: float, rel_tol: float) -> float:
+    """_ray_root, refusing radii past the double range (rho would be inf)."""
+    x = _ray_root(f, float(log_r), rel_tol)
+    if x > _LOG_RHO_MAX:
+        raise NoSaddleError(
+            f"{f.label}: saddle radius e^{x:.6g} for log_r={log_r:.6g} exceeds "
+            "the double range; use the log-domain entry points")
+    return x
+
+
+def _tagged(f: AdmissibleFunction, sol: Optional[SaddleSolution],
+            rho0_used: float) -> Tuple[Optional[SaddleSolution], RegionTag]:
+    if sol is None:
+        return None, RegionTag("no_saddle", None, rho0_used)
+    if abs(sol.theta_z) < f.alpha0 - _EDGE_DELTA and sol.rho_z > rho0_used:
+        return sol, RegionTag("inside", abs(sol.theta_z), rho0_used)
+    return sol, RegionTag("outside", abs(sol.theta_z), rho0_used)
+
+
+def solve_real(f: AdmissibleFunction, log_r: float, *,
+               tol: Optional[Tolerances] = None) -> float:
+    """Root of Phi(rho) = log_r on the positive ray.
+
+    Raises NoSaddleError when log_r is below Phi's range on the ray, or
+    when the root lies beyond the double range (solve_real_log gives its
+    log for weights with an asymptotic form there).
+    """
+    tol = tol or Tolerances.for_root_finding()
+    return math.exp(_ray_in_range(f, log_r, tol.rel_tol))
 
 
 def solve_real_log(f: AdmissibleFunction, log_r: float) -> float:
-    """log rho of the ray solution, for weights with a log-domain Phi."""
-    target = float(log_r)
-
-    def g(lam):
-        p, _ = f.phi_log(np.array([complex(lam)]))
-        return float(p[0].real)
-
-    lam_lo = lam_hi = max(1.0, math.log(max(1.0, 1.5 * f.c_gamma + 0.5)))
-    if g(lam_lo) < target:
-        step = 1.0
-        for _ in range(300):
-            lam_hi += step
-            step *= 1.7
-            if g(lam_hi) >= target:
-                break
-        else:
-            raise NoSaddleError(f"{f.label}: log-domain bracket failed upward")
-    else:
-        step = 1.0
-        for _ in range(300):
-            lam_lo -= step
-            step *= 1.7
-            if lam_lo < -640.0:
-                raise NoSaddleError(f"{f.label}: log_r={target:.6g} below range")
-            if g(lam_lo) <= target:
-                break
-    lam = 0.5 * (lam_lo + lam_hi)
-    for _ in range(200):
-        p, dp = f.phi_log(np.array([complex(lam)]))
-        resid = float(p[0].real) - target
-        if abs(resid) <= 1e-12 * (1.0 + abs(target)):
-            return lam
-        if resid > 0:
-            lam_hi = lam
-        else:
-            lam_lo = lam
-        slope = float(dp[0].real)
-        cand = lam - resid / slope if slope > 0 else math.nan
-        lam = cand if lam_lo < cand < lam_hi else 0.5 * (lam_lo + lam_hi)
-    return lam
-
-
-def _newton_complex(f, s0, target, *, max_iter=12, tol_resid):
-    """Complex Newton for Phi(s) = target from s0; returns (s, resid, iters)."""
-    s = complex(s0)
-    for it in range(1, max_iter + 1):
-        j = f.jet(np.complex128(s))
-        phi = complex(j.d1)
-        resid = phi - target
-        if abs(resid) <= tol_resid:
-            return s, abs(resid), it
-        dphi = complex(j.d2)
-        eps_scale = abs(complex(j.d1) - complex(j.val) / s) / max(abs(s), 1e-300)
-        if abs(dphi) < 1e-14 * max(eps_scale, 1e-300):
-            raise SingularJacobianError(
-                f"Phi' ~ 0 at s = {s:.6g} (|Phi'| = {abs(dphi):.3g})")
-        s = s - resid / dphi
-    j = f.jet(np.complex128(s))
-    return s, abs(complex(j.d1) - target), max_iter
+    """log rho of the ray solution, also for radii past the double range."""
+    return _ray_root(f, float(log_r), 1e-12)
 
 
 def solve(f: AdmissibleFunction, z: LogSurfacePoint, *,
@@ -206,117 +240,24 @@ def solve(f: AdmissibleFunction, z: LogSurfacePoint, *,
     Returns (solution, tag).  When the continuation path hits the sector
     edge |theta| = alpha0 - delta before reaching psi, the solution is
     None and the tag reads no_saddle (the point lies outside every
-    Omega(alpha) with alpha below the edge).
+    Omega(alpha) with alpha below the edge).  Raises NoSaddleError where
+    solve_real does.
     """
     tol = tol or Tolerances.for_root_finding()
     rho0_used = rho0 if rho0 is not None else f.default_rho0()
-    rho_start = solve_real(f, z.log_r, tol=tol)
-    psi = z.psi
-    if psi == 0.0:
-        j = f.jet(np.complex128(rho_start))
-        resid = abs(complex(j.d1) - z.log_z)
-        sol = SaddleSolution(complex(rho_start), rho_start, 0.0, resid, 1)
-        return sol, _tag_for(sol, rho0_used, f)
-
-    edge = f.alpha0 - _EDGE_DELTA
-    eps_here = max(abs(complex(f.epsilon(np.complex128(rho_start)))), 1e-12)
-    n_steps = max(1, int(math.ceil(abs(psi) / (0.25 * eps_here))))
-    tol_resid = tol.rel_tol * (1.0 + abs(z.log_z))
-
-    s = complex(rho_start)
-    theta = 0.0
-    t = 0.0
-    dt = 1.0 / n_steps
-    total_iters = 1
-    halvings = 0
-    while t < 1.0 - 1e-15:
-        t_next = min(1.0, t + dt)
-        target = complex(z.log_r, t_next * psi)
-        try:
-            s_new, resid, iters = _newton_complex(f, s, target, tol_resid=tol_resid)
-        except SingularJacobianError:
-            raise
-        theta_new = theta + cmath.phase(s_new / s)
-        ok = resid <= tol_resid and abs(theta_new) < math.pi + 1.0
-        if ok and iters <= 5:
-            s, theta, t = s_new, theta_new, t_next
-            total_iters += iters
-            if abs(theta) >= edge:
-                return None, RegionTag("no_saddle", None, rho0_used)
-            continue
-        if ok:                       # converged but slowly: accept, then refine
-            s, theta, t = s_new, theta_new, t_next
-            total_iters += iters
-            dt *= 0.5
-            halvings += 1
-            if abs(theta) >= edge:
-                return None, RegionTag("no_saddle", None, rho0_used)
-        else:
-            dt *= 0.5
-            halvings += 1
-        if halvings > 60:
-            raise ContinuationError(
-                f"{f.label}: continuation breakdown toward psi={psi:.6g}",
-                last_t=t, last_s=s)
-
-    resid = abs(complex(f.dlog_gamma(np.complex128(s))) - z.log_z)
-    sol = SaddleSolution(s, abs(s), theta, resid, total_iters)
-    return sol, _tag_for(sol, rho0_used, f)
-
-
-def _tag_for(sol: SaddleSolution, rho0_used: float, f: AdmissibleFunction) -> RegionTag:
-    if abs(sol.theta_z) < f.alpha0 - _EDGE_DELTA and sol.rho_z > rho0_used:
-        return RegionTag("inside", abs(sol.theta_z), rho0_used)
-    return RegionTag("outside", abs(sol.theta_z), rho0_used)
+    x = _ray_in_range(f, z.log_r, tol.rel_tol)
+    return _tagged(f, _continue(f, x, z.log_z, tol.rel_tol), rho0_used)
 
 
 def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint,
                      *, rho0: Optional[float] = None
                      ) -> Tuple[Optional[SaddleSolution], RegionTag]:
-    """Like solve(), but Newton runs in w = log s via phi_log; for saddle
-    radii beyond the double range."""
-    rho0_used = rho0 if rho0 is not None else 1.0
-    lam = solve_real_log(f, z.log_r)
-    psi = z.psi
-    edge = f.alpha0 - _EDGE_DELTA
-    w = complex(lam, 0.0)
-    if psi != 0.0:
-        p, _ = f.phi_log(np.array([w]))
-        # theta responds at rate 1/(dIm Phi/d theta) ~ 1/eps; step conservatively
-        n_steps = max(4, int(math.ceil(abs(psi) * 40)))
-        dt = 1.0 / n_steps
-        t = 0.0
-        halvings = 0
-        while t < 1.0 - 1e-15:
-            t_next = min(1.0, t + dt)
-            target = complex(z.log_r, t_next * psi)
-            wn = w
-            converged = False
-            for it in range(12):
-                p, dp = f.phi_log(np.array([wn]))
-                resid = complex(p[0]) - target
-                if abs(resid) <= 1e-12 * (1.0 + abs(target)):
-                    converged = True
-                    break
-                wn = wn - resid / complex(dp[0])
-            if converged and abs(wn.imag) < edge:
-                w, t = wn, t_next
-            elif converged:
-                return None, RegionTag("no_saddle", None, rho0_used)
-            else:
-                dt *= 0.5
-                halvings += 1
-                if halvings > 60:
-                    raise ContinuationError(
-                        f"{f.label}: log-domain continuation breakdown",
-                        last_t=t, last_s=w)
-    p, _ = f.phi_log(np.array([w]))
-    resid = abs(complex(p[0]) - z.log_z)
-    rho = math.exp(w.real) if w.real < 700 else math.inf
-    s_z = cmath.exp(w) if w.real < 700 else complex(math.inf, math.inf)
-    sol = SaddleSolution(s_z, rho, w.imag, resid, 0, log_rho_z=w.real)
-    kind = "inside" if abs(w.imag) < edge else "outside"
-    return sol, RegionTag(kind, abs(w.imag), rho0_used)
+    """Like solve(), also for saddle radii past the double range, where
+    rho_z is inf and log_rho_z carries the radius; rho0 defaults to 1."""
+    rel_tol = Tolerances.for_root_finding().rel_tol
+    x = _ray_root(f, z.log_r, rel_tol)
+    return _tagged(f, _continue(f, x, z.log_z, rel_tol),
+                   1.0 if rho0 is None else rho0)
 
 
 def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float,
@@ -349,25 +290,14 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float, *,
     if not alpha < f.alpha0 - _EDGE_DELTA:
         raise ValueError(f"alpha too close to the sector edge {f.alpha0:.6g}")
 
-    use_log = False
-    try:
-        rho_ray = solve_real(f, log_r)
-        eps_ray = abs(complex(f.epsilon(np.complex128(rho_ray))))
-    except NoSaddleError:
-        if not f.has_log_domain:
-            raise
-        use_log = True
-        lam = solve_real_log(f, log_r)
-        _, dp = f.phi_log(np.array([complex(lam)]))
-        # Im Phi ~ theta * eps; dPhi/dw supplies the eps scale at log radius
-        eps_ray = abs(complex(dp[0]))
+    rel_tol = Tolerances.for_root_finding().rel_tol
+    x = _ray_root(f, log_r, rel_tol)
+    # Im Phi ~ theta * dPhi/dw near the ray
+    eps_ray = abs(_phi_w(f, complex(x))[1])
 
     def theta_at(psi: float) -> float:
-        z = LogSurfacePoint(log_r, psi)
-        sol, _ = (solve_log_domain(f, z) if use_log else solve(f, z))
-        if sol is None:
-            return math.inf
-        return sol.theta_z
+        sol = _continue(f, x, complex(log_r, psi), rel_tol)
+        return math.inf if sol is None else sol.theta_z
 
     psi_hi = 0.9 * alpha * eps_ray
     psi_lo = 0.0

@@ -71,7 +71,11 @@ def _saddle_radius_or(f: AdmissibleFunction, log_r: float, fallback: float) -> f
 
 def _fold(value: complex, abs_error: float, nodes: int, converged: bool,
           log_scale: float) -> QuadratureResult:
-    mag = abs(value)
+    try:
+        mag = abs(value)
+    except OverflowError:
+        raise QuadratureError(f"|value| overflows the double range at log "
+                              f"scale {log_scale:.6g}") from None
     total_log = (math.log(mag) if mag > 0 else -math.inf) + log_scale
     if abs(log_scale) > 0 and -_FOLD_LIMIT < total_log < _FOLD_LIMIT \
             and abs(log_scale) < 600.0:

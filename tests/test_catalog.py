@@ -352,3 +352,15 @@ def test_spec_presets_build():
     ]:
         f = build(FunctionSpec.from_json(text))
         assert np.isfinite(complex(f.log_gamma(2.0 + 0j)).real)
+
+
+def test_theorem3_jet_independent_of_earlier_calls():
+    # the kernel grid is chosen from each call's own points: a far call
+    # in between leaves the value at s = 10 bit-identical
+    f = build_theorem3(ell_power(1.0, 1.0))
+    before = f.jet(np.complex128(10.0))
+    f.jet(np.complex128(1e17))
+    after = f.jet(np.complex128(10.0))
+    for a, b in [(before.val, after.val), (before.d1, after.d1),
+                 (before.d2, after.d2)]:
+        assert repr(complex(a)) == repr(complex(b))

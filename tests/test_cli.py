@@ -107,6 +107,16 @@ def test_numerical_error_exit_3(capsys):
     assert "numerical failure" in err
 
 
+def test_eval_K_overflow_exit_3(capsys):
+    # iterated_log at r=33: the ray contour's value leaves the double range;
+    # that is a numerical failure, not a traceback
+    code, out, err = run_cli(capsys, "eval-K", "--spec",
+                             '{"kind":"iterated_log","params":{}}',
+                             "--at", "r=33,psi=0")
+    assert code == 3
+    assert "numerical failure" in err and out == ""
+
+
 def test_json_format_round_trip(capsys):
     code, out, err = run_cli(capsys, "eval-E", "--spec", GAMMA,
                              "--at", "r=1,psi=0", "--format", "json")

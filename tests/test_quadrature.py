@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mellin_saddle.quadrature import adaptive_integrate, neumaier_sum, scan_drop
+from mellin_saddle.quadrature import adaptive_integrate, scan_drop
 
 
 def test_polynomial_exact():
@@ -71,7 +71,3 @@ def test_scan_drop_finds_cut():
     assert peak == pytest.approx(0.0, abs=0.3)
     assert logmag(cut) < peak - 19.0
 
-
-def test_neumaier_sum():
-    xs = [1e16, 1.0, -1e16, 1.0]
-    assert neumaier_sum(xs) == 2.0

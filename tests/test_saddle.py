@@ -185,6 +185,33 @@ def test_boundary_psi_two_term_expansion(iterlog):
         assert abs(psi / two_term - 1.0) < 0.01
 
 
+def test_solve_real_past_e300(iterlog):
+    # root near e^402: beyond the jet's range, inside the double range
+    rho = solve_real(iterlog, 6.0)
+    assert math.log(rho) > 300.0
+    assert complex(iterlog.dlog_gamma(complex(rho))).real == pytest.approx(6.0, abs=1e-9)
+
+
+def test_boundary_psi_far_factorial(gamma0):
+    # Phi(e^w) = w at log r = 3000, so theta_z = psi along the whole path
+    assert boundary_psi(gamma0, 3000.0, 1.0) == pytest.approx(1.0, abs=1e-8)
+
+
+def test_phi_log_continuous_at_jet_cut(gamma0, iterlog):
+    # the jet below Re w = 300 and the family's form past it meet there
+    for f in (gamma0, iterlog):
+        p, dp = f.phi_log(np.array([300.0 - 1e-9, 300.0], dtype=complex))
+        assert p[1] == pytest.approx(p[0], rel=1e-10)
+        assert dp[1] == pytest.approx(dp[0], rel=1e-9)
+
+
+def test_jet_only_weight_refuses_past_e300(gamma0):
+    f = exp_scale(gamma0, 0.9)         # no asymptotic form for Phi
+    assert math.log(solve_real(f, 250.0)) == pytest.approx(249.1, rel=1e-9)
+    with pytest.raises(NoSaddleError):
+        solve_real(f, 310.0)
+
+
 def test_log_domain_ray_solver(iterlog):
     lam = solve_real_log(iterlog, 8.0)
     # the double-range solver cannot reach this radius
