@@ -1,15 +1,16 @@
 """Command-line front end.
 
 Verbs: eval-K, eval-E, asym-K, asym-E, saddle, abel-plana, moment,
-boundary, verify, table.  Weights come from --spec (a JSON file path or
-inline JSON); evaluation points from --grid r=A..B,n=N,psi=P (log-spaced
-in r, psi may be a sweep A..B:M) or --at r=R,psi=P.  Output is CSV or
-JSON rows with a fixed column order:
+boundary, verify, audit, table.  Weights come from --spec (a JSON file
+path or inline JSON); evaluation points from --grid r=A..B,n=N,psi=P
+(log-spaced in r, psi may be a sweep A..B:M) or --at r=R,psi=P.  Output
+is CSV or JSON rows with a fixed column order:
 
     log_r, psi, value_re, value_im, log_scale, abs_error, region,
     rho_z, theta_z
 
-Exit codes: 0 success, 2 spec/usage error, 3 numerical failure.
+Exit codes: 0 success, 1 failed report (verify or audit), 2 spec/usage
+error, 3 numerical failure.
 MELLIN_MAX_NODES overrides the quadrature node budget.
 """
 from __future__ import annotations

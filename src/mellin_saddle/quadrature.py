@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureError
-
 _EPS = np.finfo(float).eps
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1].
@@ -47,8 +45,7 @@ class PanelResult:
     value: object          # complex or (k,) ndarray
     abs_error: float
     nodes: int
-    converged: bool
-    abs_integral: float    # integral of |f|, for roundoff accounting
+    converged: bool        # the stop rule was met within the budget
 
 
 def _panel(f, a, b):
@@ -64,38 +61,34 @@ def _panel(f, a, b):
 
 
 def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
-                       max_nodes=200_000, breakpoints=(), min_depth=0,
-                       raise_on_failure=False) -> PanelResult:
+                       max_nodes=200_000, breakpoints=()) -> PanelResult:
     """Integrate f over [a, b] with adaptive (G7, K15) bisection.
 
-    breakpoints seeds extra panel edges (kinks, known peaks).  min_depth
-    pre-splits every initial panel 2**min_depth ways, which guards
-    against a deceptively smooth first pass on oscillatory integrands.
-    The final value is re-summed in left-to-right panel order, so a fixed
-    panel set reduces deterministically.
+    breakpoints seeds extra panel edges (kinks, known peaks).  Refinement
+    stops once the summed Kronrod-Gauss differences fall within
+    max(abs_tol, rel_tol * |value|).  converged is True when that stop
+    rule was met, and False when the node budget ran out (or no panel
+    could be split further) first.  The returned abs_error adds the
+    roundoff floor 10*eps*int|f| to those differences, so it may exceed
+    the stop rule's target even when converged is True: whether a result
+    meets the caller's tolerance is decided from abs_error, not from
+    this flag.  The final value is re-summed in left-to-right panel
+    order, so a fixed panel set reduces deterministically.
     """
     edges = sorted({float(a), float(b), *(float(t) for t in breakpoints
                                           if a < t < b)})
-    if min_depth > 0:
-        fine = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            fine.extend(np.linspace(lo, hi, 2 ** min_depth + 1)[:-1])
-        edges = sorted(fine) + [edges[-1]]
-
     heap = []          # refinable panels, worst error first
     done = []          # panels at the width floor, no further splitting
     counter = 0
     nodes = 0
     err_total = 0.0
-    absint_total = 0.0
     value_total = None
 
     def add_panel(lo, hi, refinable=True):
-        nonlocal counter, nodes, err_total, absint_total, value_total
+        nonlocal counter, nodes, err_total, value_total
         ik, err, absint = _panel(f, lo, hi)
         nodes += 15
         err_total += err
-        absint_total += absint
         value_total = ik if value_total is None else value_total + ik
         entry = (lo, hi, ik, err, absint)
         if refinable and (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
@@ -114,23 +107,16 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
             total = total + e[2]
         err = sum(e[3] for e in entries)
         absint = sum(e[4] for e in entries)
-        floor = 10.0 * _EPS * absint
-        return PanelResult(total, err + floor, nodes, converged, absint)
+        return PanelResult(total, err + 10.0 * _EPS * absint, nodes, converged)
 
     while True:
         scale = float(np.max(np.abs(value_total)))
-        floor = 10.0 * _EPS * absint_total
         if err_total <= max(abs_tol, rel_tol * scale):
             return finish(True)
         if nodes + 30 > max_nodes or not heap:
-            if raise_on_failure:
-                raise QuadratureError(
-                    f"no convergence within {max_nodes} nodes "
-                    f"(err={err_total:.3g} vs tol {max(abs_tol, rel_tol * scale):.3g})")
-            return finish(err_total <= max(abs_tol, rel_tol * scale) + 2 * floor)
+            return finish(False)
         _, _, (lo, hi, ik, err, absint) = heapq.heappop(heap)
         err_total -= err
-        absint_total -= absint
         value_total = value_total - ik
         mid = 0.5 * (lo + hi)
         add_panel(lo, mid)

@@ -103,6 +103,16 @@ class Tolerances:
         kw.setdefault("rel_tol", 1e-10)
         return cls(**kw)
 
+    def met_by(self, value: complex, abs_error: float,
+               log_scale: float = 0.0) -> bool:
+        """The convergence rule: abs_error <= max(abs_tol, rel_tol*|value|)
+        for the quantity value * exp(log_scale) and its bar.  The absolute
+        half is compared in log space, so no log_scale overflows it."""
+        if abs_error <= self.rel_tol * abs(value):
+            return True
+        return abs_error > 0 and \
+            math.log(abs_error) + log_scale <= math.log(self.abs_tol)
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -110,7 +120,10 @@ class QuadratureResult:
 
     The represented quantity is value * exp(log_scale); log_scale is 0
     unless the magnitude left the double range, in which case abs_error
-    is also relative to the same scale.
+    is also relative to the same scale.  converged is True exactly when
+    abs_error <= max(abs_tol, rel_tol * |value|) on that common scale,
+    with the tolerances the evaluator was called with
+    (Tolerances.met_by).
     """
 
     value: complex
@@ -134,16 +147,3 @@ class QuadratureResult:
         return QuadratureResult(self.value * f, self.abs_error * f, self.nodes,
                                 self.converged, new_log_scale)
 
-
-def add_scaled(a: QuadratureResult, b: QuadratureResult) -> QuadratureResult:
-    """Sum two results that may carry different log scales."""
-    ls = max(a.log_scale, b.log_scale)
-    fa = math.exp(a.log_scale - ls)
-    fb = math.exp(b.log_scale - ls)
-    return QuadratureResult(
-        a.value * fa + b.value * fb,
-        a.abs_error * fa + b.abs_error * fb,
-        a.nodes + b.nodes,
-        a.converged and b.converged,
-        ls,
-    )

@@ -24,12 +24,10 @@ from typing import Optional
 import numpy as np
 
 from .catalog import AdmissibleFunction
-from .errors import QuadratureError, SpecError
+from .errors import NoSaddleError, QuadratureError, SpecError
 from .quadrature import adaptive_integrate, scan_drop
 from .saddle import solve_real
-from .errors import NoSaddleError
-from .surface import (LogSurfacePoint, QuadratureResult, Tolerances,
-                      add_scaled)
+from .surface import LogSurfacePoint, QuadratureResult, Tolerances
 
 _FOLD_LIMIT = 300.0   # keep log_scale = 0 while |log magnitude| stays below
 
@@ -69,18 +67,23 @@ def _saddle_radius_or(f: AdmissibleFunction, log_r: float, fallback: float) -> f
         return fallback
 
 
-def _fold(value: complex, abs_error: float, nodes: int, converged: bool,
+def _fold(value: complex, abs_error: float, nodes: int, tols: Tolerances,
           log_scale: float) -> QuadratureResult:
+    """The one maker of evaluator results: folds log_scale into the value
+    when the magnitude allows, and sets converged by tols.met_by."""
     try:
         mag = abs(value)
     except OverflowError:
-        raise QuadratureError(f"|value| overflows the double range at log "
-                              f"scale {log_scale:.6g}") from None
+        mag = math.inf
+    if not math.isfinite(mag):
+        raise QuadratureError(f"|value| of {value!r} at log scale "
+                              f"{log_scale:.6g} is not a finite double")
     total_log = (math.log(mag) if mag > 0 else -math.inf) + log_scale
     if abs(log_scale) > 0 and -_FOLD_LIMIT < total_log < _FOLD_LIMIT \
             and abs(log_scale) < 600.0:
         fct = math.exp(log_scale)
-        return QuadratureResult(value * fct, abs_error * fct, nodes, converged, 0.0)
+        value, abs_error, log_scale = value * fct, abs_error * fct, 0.0
+    converged = tols.met_by(value, abs_error, log_scale)
     return QuadratureResult(value, abs_error, nodes, converged, log_scale)
 
 
@@ -107,6 +110,9 @@ def eval_K(f: AdmissibleFunction, z: LogSurfacePoint,
     return _eval_K_vertical(f, z, contour)
 
 
+# past the contour's reach the ray exponents overflow; a value spoiled by
+# that is refused by _fold, so numpy need not warn on the way
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_K_rays(f: AdmissibleFunction, z: LogSurfacePoint,
                  contour: ContourSpec) -> QuadratureResult:
     tols = contour.tolerances
@@ -158,8 +164,7 @@ def _eval_K_rays(f: AdmissibleFunction, z: LogSurfacePoint,
     res = adaptive_integrate(integrand, 0.0, cut, rel_tol=tols.rel_tol,
                              abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
                              breakpoints=seeds)
-    return _fold(complex(res.value), res.abs_error, res.nodes, res.converged,
-                 m_scale)
+    return _fold(complex(res.value), res.abs_error, res.nodes, tols, m_scale)
 
 
 def _eval_K_vertical(f: AdmissibleFunction, z: LogSurfacePoint,
@@ -197,7 +202,7 @@ def _eval_K_vertical(f: AdmissibleFunction, z: LogSurfacePoint,
     res = adaptive_integrate(integrand, dn_cut, up_cut, rel_tol=tols.rel_tol,
                              abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
                              breakpoints=seeds)
-    return _fold(complex(res.value), res.abs_error, res.nodes, res.converged, peak)
+    return _fold(complex(res.value), res.abs_error, res.nodes, tols, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +316,7 @@ def _series_sum(f: AdmissibleFunction, z: LogSurfacePoint, offset: int,
         err_sum += 4.0 * abs(extra_term) * math.exp(-m)
 
     err = np.finfo(float).eps * err_sum + 31.0 * tols.truncation_drop
-    converged = err <= tols.rel_tol * abs(total) + tols.abs_tol
-    return _fold(total, err, max(n_terms, 1), converged, m)
+    return _fold(total, err, max(n_terms, 1), tols, m)
 
 
 def eval_E_series(f: AdmissibleFunction, z, *,
@@ -322,7 +326,7 @@ def eval_E_series(f: AdmissibleFunction, z, *,
     if not isinstance(z, LogSurfacePoint):
         if complex(z) == 0:
             v = complex(np.exp(-f.log_gamma(np.complex128(1.0))))
-            return QuadratureResult(v, abs(v) * 1e-15, 1, True)
+            return _fold(v, abs(v) * 1e-15, 1, tols, 0.0)
         z = LogSurfacePoint.from_complex(complex(z))
     return _series_sum(f, z, offset=1, n_start=0, tols=tols)
 
@@ -345,10 +349,7 @@ class AbelPlanaParts:
     main: QuadratureResult
     upper: QuadratureResult
     lower: QuadratureResult
-
-    @property
-    def total(self) -> QuadratureResult:
-        return add_scaled(add_scaled(self.main, self.upper), self.lower)
+    total: QuadratureResult    # the three summed on the largest log scale
 
 
 def default_sigma0(f: AdmissibleFunction) -> float:
@@ -400,7 +401,7 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     res = adaptive_integrate(main_integrand, lo_cut, hi_cut,
                              rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
                              max_nodes=tols.max_nodes, breakpoints=seeds)
-    main = _fold(complex(res.value), res.abs_error, res.nodes, res.converged, peak)
+    main = _fold(complex(res.value), res.abs_error, res.nodes, tols, peak)
 
     # ---- vertical corrections ---------------------------------------------
     eps_bar = max(f.epsilon_sup(), 0.0)
@@ -420,10 +421,16 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
         r = adaptive_integrate(integrand, 0.0, t_max, rel_tol=tols.rel_tol,
                                abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
                                breakpoints=[0.5, 1.0, 2.0, 4.0, 8.0])
-        return QuadratureResult(complex(r.value), r.abs_error, r.nodes,
-                                r.converged, 0.0)
+        return _fold(complex(r.value), r.abs_error, r.nodes, tols, 0.0)
 
-    return AbelPlanaParts(main=main, upper=vertical(+1), lower=vertical(-1))
+    upper, lower = vertical(+1), vertical(-1)
+    ls = max(main.log_scale, upper.log_scale, lower.log_scale)
+    fm, fu, fl = (math.exp(p.log_scale - ls) for p in (main, upper, lower))
+    total = _fold(main.value * fm + upper.value * fu + lower.value * fl,
+                  main.abs_error * fm + upper.abs_error * fu
+                  + lower.abs_error * fl,
+                  main.nodes + upper.nodes + lower.nodes, tols, ls)
+    return AbelPlanaParts(main, upper, lower, total)
 
 
 def eval_abel_plana_rhs(f: AdmissibleFunction, z: LogSurfacePoint,
@@ -538,5 +545,5 @@ def moment(f: AdmissibleFunction, n: int, *,
                              breakpoints=sorted({w_star,
                                                  *np.linspace(lo_cut, hi_cut, 7)[1:-1]}))
     err = res.abs_error + err_extra * (hi_cut - lo_cut)
-    return _fold(complex(res.value), err, res.nodes + nodes_total,
-                 res.converged, eta_star)
+    return _fold(complex(res.value), err, res.nodes + nodes_total, tols,
+                 eta_star)

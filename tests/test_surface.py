@@ -84,3 +84,15 @@ def test_quadrature_result_scaling():
     r = q.rescaled(4.0)
     assert r.value * math.exp(r.log_scale) == pytest.approx(
         q.value * math.exp(q.log_scale))
+
+
+def test_tolerances_met_by_far_log_scales():
+    tols = Tolerances(rel_tol=1e-8, abs_tol=1e-300)
+    assert tols.met_by(1.0, 1e-9)
+    assert not tols.met_by(1.0, 1e-7)
+    # the absolute half holds on the represented scale, without overflow
+    assert tols.met_by(1.0, 1.0, log_scale=-9e6)
+    assert not tols.met_by(1.0, 1.0, log_scale=9e6)
+    assert tols.met_by(1.0, 1e-9, log_scale=9e6)
+    assert tols.met_by(0.0, 0.0)
+    assert not tols.met_by(0.0, math.nan)

@@ -232,3 +232,48 @@ def test_growth_sum_extreme_small_radius(gamma1):
     res = eval_growth_sum(gamma1, LogSurfacePoint(-650.0, 0.0))
     v = (res.value * math.exp(res.log_scale)).real
     assert v == pytest.approx(1.0, rel=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the convergence rule on every public evaluator
+# ---------------------------------------------------------------------------
+
+def _z(r, psi):
+    return LogSurfacePoint(math.log(r), psi)
+
+
+_Q10 = Tolerances.for_quadrature(rel_tol=1e-10)
+
+_RULE_CASES = {
+    "K-rays": ("gamma0", lambda f, t: eval_K(f, _z(5.0, 0.0), tol=t), None),
+    "K-rays-log-scale": ("iterlog", lambda f, t: eval_K(
+        f, _z(10.0, 0.0), tol=t), None),
+    "K-vertical": ("gamma0", lambda f, t: eval_K(
+        f, _z(5.0, 0.5), ContourSpec("vertical"), tol=t), None),
+    "E": ("gamma0", lambda f, t: eval_E_series(f, _z(3.0, 0.5), tol=t), None),
+    "E-cancelling": ("gamma0", lambda f, t: eval_E_series(
+        f, _z(10.0, math.pi), tol=t), None),
+    "E-at-zero": ("gamma1", lambda f, t: eval_E_series(f, 0, tol=t), None),
+    "growth-sum": ("gamma0", lambda f, t: eval_growth_sum(
+        f, _z(7.0, 0.4), tol=t), _Q10),
+    "growth-sum-log-scale": ("iterlog", lambda f, t: eval_growth_sum(
+        f, _z(10.0, 0.0), tol=t), None),
+    "moment": ("gamma0", lambda f, t: moment(f, 2, tol=t), None),
+    "abel-plana-rhs": ("gamma0", lambda f, t: eval_abel_plana_rhs(
+        f, _z(5.0, 2.5), tol=t), None),
+    "abel-plana-parts-total": ("gamma0", lambda f, t: eval_abel_plana_parts(
+        f, _z(4.0, 0.5), tol=t).total, _Q10),
+}
+
+
+@pytest.mark.parametrize("case", list(_RULE_CASES))
+def test_converged_is_the_rule(request, case):
+    # converged == abs_error <= max(abs_tol, rel_tol*|value|) on the
+    # result's own log scale, whatever the route or the engine's stop
+    weight, evaluate, tols = _RULE_CASES[case]
+    res = evaluate(request.getfixturevalue(weight), tols)
+    tols = tols or Tolerances.for_quadrature()
+    meets = (res.abs_error <= tols.rel_tol * abs(res.value)
+             or math.log(res.abs_error) + res.log_scale
+             <= math.log(tols.abs_tol))
+    assert res.converged == meets
