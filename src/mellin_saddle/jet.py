@@ -26,12 +26,6 @@ class Jet2:
         one = np.ones_like(s)
         return cls(s, one, np.zeros_like(s))
 
-    @classmethod
-    def constant(cls, c, like=None) -> "Jet2":
-        c = np.asarray(c, dtype=complex)
-        z = np.zeros_like(c if like is None else np.asarray(like, dtype=complex))
-        return cls(c + z, z, z)
-
     def __add__(self, other):
         if isinstance(other, Jet2):
             return Jet2(self.val + other.val, self.d1 + other.d1, self.d2 + other.d2)

@@ -123,16 +123,14 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
         add_panel(mid, hi)
 
 
-def scan_drop(logmag, t0, t_lo, t_hi, *, drop_log, factor=1.6,
-              max_steps=600):
-    """Walk outward from t0 on a geometric-ish grid until logmag falls
-    drop_log below the running peak; returns (cut, peak_t, peak_val).
+def scan_drop(logmag, t0, bound, *, drop_log, factor=1.6, max_steps=600):
+    """Walk from t0 towards bound on a geometric-ish grid until logmag
+    falls drop_log below the running peak; returns (cut, peak_t, peak_val).
 
-    Direction is set by whether t_hi > t0 (walk up) or t_lo < t0 (walk
-    down); the walk is capped at the given bound.
+    The walk goes up when bound > t0 and down otherwise, and returns
+    bound as the cut if it gets there first.
     """
-    up = t_hi > t0
-    bound = t_hi if up else t_lo
+    up = bound > t0
     t = t0
     step = max(abs(t0), 1.0) * 0.25
     peak_t, peak = t0, logmag(t0)
@@ -147,4 +145,3 @@ def scan_drop(logmag, t0, t_lo, t_hi, *, drop_log, factor=1.6,
             return t, peak_t, peak
         step *= factor
     return t, peak_t, peak
-

@@ -7,6 +7,11 @@ V's vertex (and the vertical's abscissa) default to the saddle radius of
 the integrand, which keeps the quadrature free of catastrophic
 cancellation; correctness never depends on that choice.
 
+Both K routes and the Abel-Plana integrals share one truncation rule: a
+finite end is where the path ends, and an infinite end is cut once the
+integrand has fallen truncation_drop below its running peak, or the path
+is refused as non-decaying.
+
 E(z) is the entire series sum z^n / gamma(n+1), summed in log space with
 compensated accumulation; sum z^n / gamma(n) = z E(z) + 1/gamma(0) is the
 quantity the growth asymptotics speak about and has its own summer.
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -97,112 +102,88 @@ def _geometric_seeds(width: float, upper: float):
     return seeds
 
 
+def _path_integral(g, tols: Tolerances, lo: float, t0: float, hi: float,
+                   width: float, what: str) -> QuadratureResult:
+    """int_lo^hi sum_j exp(g(t)[:, j]) dt under the module's truncation rule.
+
+    g maps an ndarray of path parameters to one column of complex log
+    integrand terms per summand; the scans of infinite ends start at t0.
+    The scale is the largest log magnitude seen, and the panels are seeded
+    at 0, at each side's peak and at geometric steps of width from each
+    peak.  what names the path when it is refused."""
+    drop_log = -math.log(tols.truncation_drop)
+    seen = {}
+
+    def logmag(t):
+        if t not in seen:
+            terms = g(np.array([t]))[0]
+            m = float(np.max(terms.real))
+            a = abs(complex(np.sum(np.exp(terms - m)))) \
+                if math.isfinite(m) else 1.0
+            seen[t] = math.log(a) + m if a > 0 else -math.inf
+        return seen[t]
+
+    # past a path's reach its exponents overflow; a value spoiled by that
+    # is refused by _fold, so numpy need not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        logmag(t0)
+        ends, seeds = [], [0.0]
+        for end in (lo, hi):
+            peak_t = t0
+            if math.isinf(end):
+                # iterated_log's saddles sit near 1e13, so the reach scales
+                bound = t0 + math.copysign(1e12 * max(1.0, abs(t0)), end)
+                end, peak_t, peak = scan_drop(logmag, t0, bound,
+                                              drop_log=drop_log)
+                if logmag(end) > peak - drop_log:
+                    raise QuadratureError(f"{what} does not decay")
+            ends.append(end)
+            side = math.copysign(1.0, end - peak_t)
+            seeds += [peak_t] + [peak_t + side * w for w in
+                                 _geometric_seeds(width, abs(end - peak_t))]
+        scale = max(seen.values())
+        res = adaptive_integrate(
+            lambda t: np.exp(g(t) - scale).sum(axis=1), *ends,
+            rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
+            max_nodes=tols.max_nodes, breakpoints=seeds)
+    return _fold(complex(res.value), res.abs_error, res.nodes, tols, scale)
+
+
 def eval_K(f: AdmissibleFunction, z: LogSurfacePoint,
            contour: Optional[ContourSpec] = None,
            tol: Optional[Tolerances] = None) -> QuadratureResult:
     """K(z) = (2 pi i)^{-1} int z^{-s} gamma(s) ds over the chosen contour."""
     if contour is None:
         contour = ContourSpec("l_alpha")
-    if tol is not None:
-        contour = replace(contour, tolerances=tol)
+    tols = tol if tol is not None else contour.tolerances
     if contour.kind == "l_alpha":
-        return _eval_K_rays(f, z, contour)
-    return _eval_K_vertical(f, z, contour)
-
-
-# past the contour's reach the ray exponents overflow; a value spoiled by
-# that is refused by _fold, so numpy need not warn on the way
-@np.errstate(over="ignore", invalid="ignore")
-def _eval_K_rays(f: AdmissibleFunction, z: LogSurfacePoint,
-                 contour: ContourSpec) -> QuadratureResult:
-    tols = contour.tolerances
-    alpha = contour.alpha if contour.alpha is not None else default_alpha(f)
-    if not (math.pi / 2 < alpha < f.alpha0 + 1e-12):
-        raise SpecError(f"l_alpha contour needs pi/2 < alpha < alpha0 = "
-                        f"{f.alpha0:.6g}, got {alpha:.6g}")
-    vertex = contour.vertex
-    if vertex is None:
-        vertex = _saddle_radius_or(f, z.log_r, max(1.0, 2.0 * f.c_gamma + 1.0))
-    logz = z.log_z
-    e_up = cmath.exp(1j * alpha)
-    e_dn = e_up.conjugate()
-
-    def pair_raw(u):
-        u = np.asarray(u, dtype=float)
-        s_up = vertex + u * e_up
-        s_dn = vertex + u * e_dn
-        g_up = f.log_gamma(s_up) - s_up * logz
-        g_dn = f.log_gamma(s_dn) - s_dn * logz
-        return g_up, g_dn
-
-    def logmag(u):
-        # log of the paired-ray integrand magnitude, stable at any scale
-        g_up, g_dn = pair_raw(np.array([u]))
-        m = float(max(g_up.real[0], g_dn.real[0]))
-        h = np.exp(g_up - m) * e_up - np.exp(g_dn - m) * e_dn
-        a = abs(complex(h[0]))
-        return (math.log(a) if a > 0 else -1e30) + m
-
-    # characteristic width of the saddle bump at the vertex
-    d2 = complex(f.d2log_gamma(np.complex128(vertex)))
-    width = 1.0 / math.sqrt(abs(d2)) if abs(d2) > 0 else 1.0
-    drop_log = -math.log(tols.truncation_drop)
-
-    cut, _, peak = scan_drop(logmag, width * 0.25, 0.0,
-                             width * 1e9, drop_log=drop_log)
-    if logmag(cut) > peak - 0.8 * drop_log:
-        raise QuadratureError(
-            f"K ray contour does not decay for z = {z} (alpha = {alpha:.4g})")
-    m_scale = max(peak, logmag(1e-9 * max(width, 1.0)))
-
-    def integrand(u):
-        g_up, g_dn = pair_raw(u)
-        return (np.exp(g_up - m_scale) * e_up
-                - np.exp(g_dn - m_scale) * e_dn) / (2j * math.pi)
-
-    seeds = _geometric_seeds(width, cut)
-    res = adaptive_integrate(integrand, 0.0, cut, rel_tol=tols.rel_tol,
-                             abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
-                             breakpoints=seeds)
-    return _fold(complex(res.value), res.abs_error, res.nodes, tols, m_scale)
-
-
-def _eval_K_vertical(f: AdmissibleFunction, z: LogSurfacePoint,
-                     contour: ContourSpec) -> QuadratureResult:
-    tols = contour.tolerances
-    c = contour.c
-    if c is None:
-        c = _saddle_radius_or(f, z.log_r, 1.0)
-        c = max(c, 0.05)
+        alpha = contour.alpha if contour.alpha is not None else default_alpha(f)
+        if not (math.pi / 2 < alpha < f.alpha0 + 1e-12):
+            raise SpecError(f"l_alpha contour needs pi/2 < alpha < alpha0 = "
+                            f"{f.alpha0:.6g}, got {alpha:.6g}")
+        v = contour.vertex if contour.vertex is not None else \
+            _saddle_radius_or(f, z.log_r, max(1.0, 2.0 * f.c_gamma + 1.0))
+        # the V folded onto u >= 0: out along the upper ray, minus the
+        # lower ray; ds and the sign enter as i*alpha and i*(pi - alpha)
+        lo, what = 0.0, f"K ray contour for z = {z} (alpha = {alpha:.4g})"
+        dirs = np.exp(1j * np.array([alpha, -alpha]))
+        consts = 1j * np.array([alpha, math.pi - alpha]) - cmath.log(2j * math.pi)
+    else:
+        v = contour.c if contour.c is not None else \
+            max(_saddle_radius_or(f, z.log_r, 1.0), 0.05)
+        lo, what = -math.inf, f"vertical K contour for z = {z} (c = {v:.4g})"
+        dirs = np.array([1j])
+        consts = np.array([-math.log(2.0 * math.pi)])
     logz = z.log_z
 
-    def g_re(t):
-        s = complex(c, t)
-        return float((complex(f.log_gamma(np.complex128(s))) - s * logz).real)
+    def g(u):
+        s = v + np.multiply.outer(u, dirs)
+        return f.log_gamma(s.ravel()).reshape(s.shape) - s * logz + consts
 
-    drop_log = -math.log(tols.truncation_drop)
-    up_cut, pk_t_up, peak_up = scan_drop(g_re, 0.0, 0.0, 1e12, drop_log=drop_log)
-    dn_cut, pk_t_dn, peak_dn = scan_drop(g_re, 0.0, -1e12, 0.0, drop_log=drop_log)
-    peak = max(peak_up, peak_dn)
-    if g_re(up_cut) > peak - 0.8 * drop_log or g_re(dn_cut) > peak - 0.8 * drop_log:
-        raise QuadratureError(
-            f"vertical K contour does not decay for z = {z} (c = {c:.4g}); "
-            "the sheet argument is too large for this route")
-
-    def integrand(t):
-        s = c + 1j * np.asarray(t, dtype=float)
-        g = f.log_gamma(s) - s * logz
-        return np.exp(g - peak) / (2.0 * math.pi)
-
-    width = abs(up_cut - dn_cut)
-    seeds = sorted({pk_t_up, pk_t_dn, 0.0,
-                    *(pk_t_up + s for s in _geometric_seeds(width * 1e-3, up_cut - pk_t_up)),
-                    *(pk_t_dn - s for s in _geometric_seeds(width * 1e-3, pk_t_dn - dn_cut))})
-    seeds = [t for t in seeds if dn_cut < t < up_cut]
-    res = adaptive_integrate(integrand, dn_cut, up_cut, rel_tol=tols.rel_tol,
-                             abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
-                             breakpoints=seeds)
-    return _fold(complex(res.value), res.abs_error, res.nodes, tols, peak)
+    # characteristic width of the saddle bump at the vertex or abscissa
+    d2 = abs(complex(f.d2log_gamma(np.complex128(v))))
+    width = 1.0 / math.sqrt(d2) if d2 > 0 else 1.0
+    return _path_integral(g, tols, lo, 0.0, math.inf, width, what)
 
 
 # ---------------------------------------------------------------------------
@@ -371,66 +352,46 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     if not (0.0 < s0 < 1.0) or (f.c_gamma > 0 and s0 >= min(f.c_gamma, 1.0)):
         raise SpecError(f"sigma0 = {s0:.6g} outside (0, min(c_gamma, 1))")
     logz = z.log_z
-    drop_log = -math.log(tols.truncation_drop)
 
-    # ---- main integral over [-sigma0, inf) --------------------------------
-    def h_re(sig):
-        s = complex(sig)
-        return float((s * logz - complex(f.log_gamma(np.complex128(s)))).real)
+    def g_main(sig):
+        s = sig.astype(complex)
+        g = s * logz - f.log_gamma(s)
+        # gamma's poles on the path (Gamma(0)) are zeros of the integrand
+        return np.where(np.isfinite(g), g, -np.inf)[:, None]
 
     try:
         sig_peak = solve_real(f, z.log_r)
     except NoSaddleError:
         sig_peak = max(0.5, -s0 + 0.25)
-    hi_cut, pk, peak = scan_drop(h_re, sig_peak, -s0, 1e14, drop_log=drop_log)
-    lo_cut, _, peak2 = scan_drop(h_re, sig_peak, -s0, sig_peak, drop_log=drop_log)
-    peak = max(peak, peak2, h_re(-s0 + 1e-9), h_re(min(sig_peak, -s0 + 1.0)))
-
-    def main_integrand(sig):
-        s = sig.astype(complex)
-        g = s * logz - f.log_gamma(s)
-        out = np.exp(g - peak)
-        return np.where(np.isfinite(out), out, 0.0)
-
     width = max(1.0, math.sqrt(1.0 / max(
         abs(complex(f.d2log_gamma(np.complex128(max(sig_peak, 1e-3))))), 1e-300)))
-    seeds = sorted({sig_peak, sig_peak - width, sig_peak + width, 0.0,
-                    *(sig_peak + s for s in _geometric_seeds(width, hi_cut - sig_peak)),
-                    *(sig_peak - s for s in _geometric_seeds(width, sig_peak - lo_cut))})
-    seeds = [x for x in seeds if lo_cut < x < hi_cut]
-    res = adaptive_integrate(main_integrand, lo_cut, hi_cut,
-                             rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
-                             max_nodes=tols.max_nodes, breakpoints=seeds)
-    main = _fold(complex(res.value), res.abs_error, res.nodes, tols, peak)
+    main = _path_integral(g_main, tols, -s0, sig_peak, math.inf, width,
+                          f"Abel-Plana main integral for z = {z}")
 
-    # ---- vertical corrections ---------------------------------------------
+    # the verticals end where the kernel beats z^s/gamma(s) by truncation_drop
     eps_bar = max(f.epsilon_sup(), 0.0)
     a_rate = min(0.5 * math.pi * eps_bar + 0.1, math.pi - 0.05)
     decay = 2.0 * math.pi - a_rate - abs(z.psi)
-    t_max = drop_log / max(decay, 0.05) + 5.0
+    t_max = -math.log(tols.truncation_drop) / max(decay, 0.05) + 5.0
 
     def vertical(sign):
-        def integrand(t):
-            t = np.asarray(t, dtype=float)
+        def g(t):
             s = -s0 + 1j * sign * t
-            q = np.exp(2j * math.pi * sign * s)        # |q| = e^{-2 pi t}
-            kernel = 2j * sign * q / (q - 1.0)         # cot(pi s) + i sign
-            fs = np.exp(s * logz - f.log_gamma(s))
-            return -0.5 * fs * kernel
+            lq = 2j * math.pi * sign * s       # log q, |q| = e^{-2 pi t}
+            # -kernel/2, with kernel = cot(pi s) + i sign = 2i sign q/(q-1)
+            return (lq - np.log(np.exp(lq) - 1.0) - 0.5j * math.pi * sign
+                    + s * logz - f.log_gamma(s))[:, None]
 
-        r = adaptive_integrate(integrand, 0.0, t_max, rel_tol=tols.rel_tol,
-                               abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
-                               breakpoints=[0.5, 1.0, 2.0, 4.0, 8.0])
-        return _fold(complex(r.value), r.abs_error, r.nodes, tols, 0.0)
+        return _path_integral(g, tols, 0.0, 0.0, t_max, 2.0,
+                              f"Abel-Plana vertical for z = {z}")
 
-    upper, lower = vertical(+1), vertical(-1)
-    ls = max(main.log_scale, upper.log_scale, lower.log_scale)
-    fm, fu, fl = (math.exp(p.log_scale - ls) for p in (main, upper, lower))
-    total = _fold(main.value * fm + upper.value * fu + lower.value * fl,
-                  main.abs_error * fm + upper.abs_error * fu
-                  + lower.abs_error * fl,
-                  main.nodes + upper.nodes + lower.nodes, tols, ls)
-    return AbelPlanaParts(main, upper, lower, total)
+    parts = (main, vertical(+1), vertical(-1))
+    ls = max(p.log_scale for p in parts)
+    m, u, l = (p.rescaled(ls) for p in parts)
+    total = _fold(m.value + u.value + l.value,
+                  m.abs_error + u.abs_error + l.abs_error,
+                  m.nodes + u.nodes + l.nodes, tols, ls)
+    return AbelPlanaParts(*parts, total)
 
 
 def eval_abel_plana_rhs(f: AdmissibleFunction, z: LogSurfacePoint,
@@ -456,7 +417,7 @@ def _k_vertical_batch(f: AdmissibleFunction, logts: np.ndarray, c: float,
         s = complex(c, t)
         return float((complex(f.log_gamma(np.complex128(s))) - s * lw).real)
 
-    up_cut, _, _ = scan_drop(g_re_ref, 0.0, 0.0, 1e12, drop_log=drop_log + 5)
+    up_cut, _, _ = scan_drop(g_re_ref, 0.0, 1e12, drop_log=drop_log + 5)
     tgrid = np.linspace(0.0, up_cut, 160)
     lg = f.log_gamma(c + 1j * tgrid)
     scales = np.max(lg.real[:, None] - c * logts[None, :], axis=0)
@@ -510,9 +471,9 @@ def moment(f: AdmissibleFunction, n: int, *,
         g = float(complex(f.log_gamma(np.complex128(rho))).real)
         return (n + 1.0) * w + g - rho * w
 
-    hi_cut, _, _ = scan_drop(eta, w_star, -1e9, 1e9, drop_log=drop_log + 3)
+    hi_cut, _, _ = scan_drop(eta, w_star, 1e9, drop_log=drop_log + 3)
     lo_cut, _, _ = scan_drop(eta, w_star, -(drop_log + 3) / (n + 1.0) + w_star - 20.0,
-                             w_star, drop_log=drop_log + 3)
+                             drop_log=drop_log + 3)
 
     # coarse importance profile; panels far below the peak contribute
     # e^{eta - eta*} and get a proportionally relaxed inner tolerance

@@ -67,7 +67,7 @@ def test_deterministic_bytes():
 
 def test_scan_drop_finds_cut():
     logmag = lambda t: -0.5 * (t - 3.0) ** 2
-    cut, peak_t, peak = scan_drop(logmag, 1.0, 0.0, 1e9, drop_log=20.0)
+    cut, peak_t, peak = scan_drop(logmag, 1.0, 1e9, drop_log=20.0)
     assert peak == pytest.approx(0.0, abs=0.3)
     assert logmag(cut) < peak - 19.0
 

@@ -56,12 +56,34 @@ def test_K_route_equivalence_random(gamma0, gamma1, iterlog, theorem3_power):
                                    1e-7 * abs(va))
 
 
-def test_K_complex_continuation(gamma0):
+_ROUTES = {"rays": None, "vertical": ContourSpec("vertical")}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_K_complex_continuation(gamma0, route):
     # K continues e^{-z} off the ray
     for r, psi in [(5.0, math.pi / 4), (3.0, -math.pi / 3), (8.0, 1.0)]:
         z = LogSurfacePoint(math.log(r), psi)
         want = cmath.exp(-r * cmath.exp(1j * psi))
-        assert _val(eval_K(gamma0, z)) == pytest.approx(want, rel=1e-8)
+        assert _val(eval_K(gamma0, z, _ROUTES[route])) == pytest.approx(
+            want, rel=1e-8)
+
+
+# iterlog is left off the vertical route: e^{psi t} beats its
+# sub-exponential decay along the line, so the route refuses every psi != 0
+@pytest.mark.parametrize("route,weight", [
+    ("rays", "gamma1"), ("rays", "iterlog"), ("rays", "theorem3_power"),
+    ("vertical", "gamma1"), ("vertical", "theorem3_power")])
+def test_K_conjugate_symmetry(request, route, weight):
+    # K(conj z) = conj K(z), within the two bars on a common log scale
+    f = request.getfixturevalue(weight)
+    for r, psi in [(2.0, 0.4), (4.0, 0.9), (6.0, 0.2)]:
+        z = LogSurfacePoint(math.log(r), psi)
+        a = eval_K(f, z, _ROUTES[route])
+        b = eval_K(f, z.conj(), _ROUTES[route])
+        fb = math.exp(b.log_scale - a.log_scale)
+        assert abs(b.value * fb - a.value.conjugate()) \
+            <= a.abs_error + b.abs_error * fb
 
 
 def test_K_vertical_rejects_wide_sheet(gamma0):
@@ -164,7 +186,10 @@ def test_abel_plana_matches_series(gamma0, iterlog):
     cases = [(gamma0, 5.0, math.pi / 2), (gamma0, 2.0, math.pi),
              (gamma0, 10.0, math.pi / 3),
              (iterlog, 2.0, math.pi / 2), (iterlog, 2.0, math.pi),
-             (iterlog, 3.0, math.pi / 3)]
+             (iterlog, 3.0, math.pi / 3),
+             # eps ~ 2: the verticals run to t ~ 197, past t ~ 119
+             # where q = e^{-2 pi t} underflows
+             (product(gamma0, gamma0), 3.0, 3.0)]
     for f, r, psi in cases:
         z = LogSurfacePoint(math.log(r), psi)
         ap = eval_abel_plana_rhs(f, z)

@@ -1,0 +1,177 @@
+"""Fingerprint the evaluators, and compare two fingerprints.
+
+A refactor of the evaluators should keep their numbers.  `dump` prints one
+line per call, `<label>\\t<payload>`, where the payload is
+repr((value, abs_error, nodes, log_scale, converged)) of the result or
+`ExceptionClass: message` when the call raises.  The calls are eval_K on
+both routes, eval_E_series, eval_growth_sum and eval_abel_plana_rhs on the
+four benchmark weights at r in {2, 5, 10} and psi in {0, 1, 2.5};
+eval_E_series at 0 for each weight; and moment for n = 1..3 on
+gamma_shift(0) and theorem3: 190 lines in all.
+
+`compare` reads two dumps and reports, line by line, a change between
+raising and returning, a change of exception class, a flipped converged
+flag, and a value that moved outside the sum of both error bars; then, per
+evaluator, the node sums and the counts of changed and byte-identical
+lines, and the largest change of a value relative to its two bars.
+
+    PYTHONPATH=src python tools/fingerprint.py dump > after.txt
+    PYTHONPATH=<other checkout>/src python tools/fingerprint.py dump > before.txt
+    python tools/fingerprint.py compare before.txt after.txt
+
+The package is imported from PYTHONPATH, so one copy of this script
+fingerprints any checkout.
+"""
+from __future__ import annotations
+
+import math
+import sys
+from collections import defaultdict
+
+import numpy as np
+
+WEIGHTS = {
+    "gamma_shift0": {"kind": "gamma_shift", "params": {"c": 0.0}},
+    "gamma_shift1": {"kind": "gamma_shift", "params": {"c": 1.0}},
+    "iterated_log": {"kind": "iterated_log",
+                     "params": {"a": 1.0, "b": 1.0, "k": 1, "c": math.e}},
+    "theorem3": {"kind": "theorem3",
+                 "params": {"ell": "power", "a": 1.0, "c": 1.0}},
+}
+RADII = (2.0, 5.0, 10.0)
+PSIS = (0.0, 1.0, 2.5)
+MOMENT_WEIGHTS = ("gamma_shift0", "theorem3")
+MOMENT_ORDERS = (1, 2, 3)
+
+
+def calls():
+    """(label, thunk) for every fingerprinted call, in a fixed order."""
+    import mellin_saddle as ms
+
+    weights = {name: ms.build(ms.FunctionSpec.from_dict(spec))
+               for name, spec in WEIGHTS.items()}
+    vertical = ms.ContourSpec("vertical")
+    evaluators = {
+        "K-rays": lambda f, z: ms.eval_K(f, z),
+        "K-vertical": lambda f, z: ms.eval_K(f, z, vertical),
+        "E": ms.eval_E_series,
+        "growth-sum": ms.eval_growth_sum,
+        "abel-plana": ms.eval_abel_plana_rhs,
+    }
+    out = []
+    for name, f in weights.items():
+        for r in RADII:
+            for psi in PSIS:
+                z = ms.LogSurfacePoint(math.log(r), psi)
+                for ev, fn in evaluators.items():
+                    out.append((f"{ev} {name} r={r:g} psi={psi:g}",
+                                lambda fn=fn, f=f, z=z: fn(f, z)))
+        out.append((f"E-at-0 {name}",
+                    lambda f=f: ms.eval_E_series(f, 0)))
+    for name in MOMENT_WEIGHTS:
+        for n in MOMENT_ORDERS:
+            out.append((f"moment {name} n={n}",
+                        lambda f=weights[name], n=n: ms.moment(f, n)))
+    return out
+
+
+def dump(stream=sys.stdout):
+    for label, thunk in calls():
+        try:
+            res = thunk()
+            payload = repr((res.value, res.abs_error, res.nodes,
+                            res.log_scale, res.converged))
+        except Exception as exc:      # every outcome is part of the print
+            payload = f"{type(exc).__name__}: {exc}"
+        print(f"{label}\t{payload}", file=stream, flush=True)
+
+
+# results may hold numpy scalars, whose repr names np
+_NAMES = {"np": np, "inf": math.inf, "nan": math.nan,
+          "infj": complex(0.0, math.inf), "nanj": complex(0.0, math.nan),
+          "__builtins__": {}}
+
+
+def _parse(path):
+    """label -> (payload text, parsed result tuple or None if it raised)."""
+    lines = {}
+    with open(path) as fh:
+        for line in fh:
+            label, text = line.rstrip("\n").split("\t", 1)
+            lines[label] = (text, eval(text, dict(_NAMES))    # our own repr
+                            if text.startswith("(") else None)
+    return lines
+
+
+def _shift(a, b):
+    """|change of value| / (sum of both bars), on the larger log scale."""
+    (va, ea, _, la, _), (vb, eb, _, lb, _) = a, b
+    ls = max(la, lb)
+    fa, fb = math.exp(la - ls), math.exp(lb - ls)
+    change, bars = abs(va * fa - vb * fb), ea * fa + eb * fb
+    return 0.0 if change == 0 else change / bars if bars > 0 else math.inf
+
+
+def compare(path_a, path_b, stream=sys.stdout):
+    """Report how dump B differs from dump A; returns the number of
+    findings (raise/return changes, exception class changes, flag flips,
+    values outside both bars, and labels present on one side only)."""
+    a, b = _parse(path_a), _parse(path_b)
+    findings = 0
+    for label in sorted(set(a) ^ set(b)):
+        print(f"only in {'A' if label in a else 'B'}: {label}", file=stream)
+        findings += 1
+    nodes = defaultdict(lambda: [0, 0])
+    changed = defaultdict(int)
+    same = defaultdict(int)
+    raised, worst = 0, 0.0
+    for label in [k for k in a if k in b]:
+        ev = label.split(" ", 1)[0]
+        (ta, ra), (tb, rb) = a[label], b[label]
+        nodes[ev][0] += ra[2] if ra else 0
+        nodes[ev][1] += rb[2] if rb else 0
+        raised += ra is None and rb is None
+        if ta == tb:
+            same[ev] += 1
+            continue
+        changed[ev] += 1
+        if (ra is None) != (rb is None):
+            print(f"raise/return: {label}: {ta} -> {tb}", file=stream)
+            findings += 1
+        elif ra is None:
+            if ta.split(":", 1)[0] != tb.split(":", 1)[0]:
+                print(f"exception class: {label}: {ta} -> {tb}", file=stream)
+                findings += 1
+        else:
+            if ra[4] != rb[4]:
+                print(f"flag flip: {label}: {ra[4]} -> {rb[4]}", file=stream)
+                findings += 1
+            shift = _shift(ra, rb)
+            worst = max(worst, shift)
+            if shift > 1.0:
+                print(f"outside both bars: {label}: {ta} -> {tb}",
+                      file=stream)
+                findings += 1
+    print(f"{'evaluator':<12}{'nodes A':>12}{'nodes B':>12}"
+          f"{'changed':>9}{'same':>6}", file=stream)
+    for ev in sorted(set(nodes) | set(changed) | set(same)):
+        print(f"{ev:<12}{nodes[ev][0]:>12,}{nodes[ev][1]:>12,}"
+              f"{changed[ev]:>9}{same[ev]:>6}", file=stream)
+    print(f"largest change / sum of both bars: {worst:.3g}", file=stream)
+    print(f"lines raising on both sides: {raised}; findings: {findings}",
+          file=stream)
+    return findings
+
+
+def main(argv):
+    if len(argv) == 1 and argv[0] == "dump":
+        dump()
+        return 0
+    if len(argv) == 3 and argv[0] == "compare":
+        return 1 if compare(argv[1], argv[2]) else 0
+    print(__doc__, file=sys.stderr)
+    return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
