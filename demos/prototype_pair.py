@@ -29,7 +29,7 @@ for t in (0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
     worst = max(abs(k_ray / want - 1), abs(k_ver / want - 1))
     print(f"{t:6.1f} {k_ray:16.9e} {k_ver:16.9e} {want:16.9e} {worst:14.2e}")
 
-print("\nE(x) against e^x (log-space compensated series):")
+print("\nE(x) against e^x (log-space series, exactly rounded):")
 for x in (1.0, 5.0, 10.0, 20.0):
     e = eval_E_series(f, LogSurfacePoint(math.log(x), 0.0))
     print(f"  E({x:4.1f}) = {e.value.real:.12e}   rel err "

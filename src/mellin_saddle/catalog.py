@@ -150,18 +150,15 @@ class AdmissibleFunction:
                 self._one_over_gamma0 = float(np.exp(-lg6).real)
         return self._one_over_gamma0
 
-    def probe_grid(self, lo: float = 1.0, hi: float = 1e6, n: int = 61):
-        return np.geomspace(lo, hi, n)
-
     def epsilon_sup(self) -> float:
-        """sup of eps over the probe grid; proxy for limsup estimates."""
+        """sup of eps over a log grid on [1, 1e6]; proxy for limsup estimates."""
         if self._eps_sup is None:
-            rho = self.probe_grid()
+            rho = np.geomspace(1.0, 1e6, 61)
             self._eps_sup = float(np.max(np.real(self.epsilon(rho + 0j))))
         return self._eps_sup
 
     def epsilon_limsup_estimate(self) -> float:
-        rho = self.probe_grid(1e4, 1e6, 21)
+        rho = np.geomspace(1e4, 1e6, 21)
         return float(np.max(np.real(self.epsilon(rho + 0j))))
 
     def default_rho0(self) -> float:
@@ -173,7 +170,7 @@ class AdmissibleFunction:
         angles near pi/2; the full-sector fan belongs to the audit.
         """
         if self._rho0 is None:
-            rho = self.probe_grid(1.0, 1e6, 31)
+            rho = np.geomspace(1.0, 1e6, 31)
             b = np.abs(rho * np.real(self.epsilon_prime(rho + 0j))
                        / np.real(self.epsilon(rho + 0j)))
             fan = min(0.5 * math.pi, self.alpha0 - 0.1)
@@ -878,7 +875,7 @@ def audit_admissibility(f: AdmissibleFunction, grid=None, *,
     threshold around that radius.
     """
     if grid is None:
-        grid = f.probe_grid(1.0, 1e7, 61)
+        grid = np.geomspace(1.0, 1e7, 61)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise ValueError("grid must be increasing, positive, with >= 8 points")

@@ -11,7 +11,8 @@ is CSV or JSON rows with a fixed column order:
 
 Exit codes: 0 success, 1 failed report (verify or audit), 2 spec/usage
 error, 3 numerical failure.
-MELLIN_MAX_NODES overrides the quadrature node budget.
+MELLIN_MAX_NODES overrides the node budget, which caps quadrature nodes
+and series terms alike.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ def parse_at(text: str) -> LogSurfacePoint:
     return LogSurfacePoint(math.log(r), float(kv.get("psi", 0.0)))
 
 
-def parse_contour(text: Optional[str], tols: Tolerances) -> Optional[ContourSpec]:
+def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
     if text is None:
         return None
     kind, _, rest = text.partition(":")
@@ -112,12 +113,11 @@ def parse_contour(text: Optional[str], tols: Tolerances) -> Optional[ContourSpec
         if extra:
             kv = _parse_kv(extra)
             vertex = float(kv["vertex"]) if "vertex" in kv else None
-        return ContourSpec("l_alpha", alpha=float(alpha_txt), vertex=vertex,
-                           tolerances=tols)
+        return ContourSpec("l_alpha", alpha=float(alpha_txt), vertex=vertex)
     if kind == "vertical":
         if not rest:
             raise SpecError("vertical contour needs vertical:C")
-        return ContourSpec("vertical", c=float(rest), tolerances=tols)
+        return ContourSpec("vertical", c=float(rest))
     raise SpecError(f"unknown contour {text!r}; use lalpha:A[,vertex=V] or "
                     "vertical:C")
 
@@ -181,7 +181,7 @@ def _points(args) -> List[LogSurfacePoint]:
 def _run_eval(args, which: str) -> int:
     f = build(_load_spec(args.spec))
     tols = _tolerances(args)
-    contour = parse_contour(getattr(args, "contour", None), tols)
+    contour = parse_contour(getattr(args, "contour", None))
     rows = []
     for z in _points(args):
         region, rho_z, theta_z = _saddle_fields(f, z)

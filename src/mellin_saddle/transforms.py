@@ -12,9 +12,13 @@ finite end is where the path ends, and an infinite end is cut once the
 integrand has fallen truncation_drop below its running peak, or the path
 is refused as non-decaying.
 
-E(z) is the entire series sum z^n / gamma(n+1), summed in log space with
-compensated accumulation; sum z^n / gamma(n) = z E(z) + 1/gamma(0) is the
-quantity the growth asymptotics speak about and has its own summer.
+E(z) is the entire series sum z^n / gamma(n+1), summed in log space over
+one window of indices around the peak term; sum z^n / gamma(n) =
+z E(z) + 1/gamma(0) is the quantity the growth asymptotics speak about.
+The series shares the truncation rule: n = 0 (or 1) is a finite end, and
+the window grows until each open edge term has fallen truncation_drop
+below the window's peak, or is refused once it would pass max_nodes.
+The window is summed exactly rounded (math.fsum).
 
 All results carry value * exp(log_scale) so magnitudes far outside the
 double range stay exact on the log scale.
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -49,7 +53,6 @@ class ContourSpec:
     alpha: Optional[float] = None
     vertex: Optional[float] = None
     c: Optional[float] = None
-    tolerances: Tolerances = field(default_factory=Tolerances.for_quadrature)
 
     def __post_init__(self):
         if self.kind not in ("l_alpha", "vertical"):
@@ -155,7 +158,7 @@ def eval_K(f: AdmissibleFunction, z: LogSurfacePoint,
     """K(z) = (2 pi i)^{-1} int z^{-s} gamma(s) ds over the chosen contour."""
     if contour is None:
         contour = ContourSpec("l_alpha")
-    tols = tol if tol is not None else contour.tolerances
+    tols = tol or Tolerances.for_quadrature()
     if contour.kind == "l_alpha":
         alpha = contour.alpha if contour.alpha is not None else default_alpha(f)
         if not (math.pi / 2 < alpha < f.alpha0 + 1e-12):
@@ -190,114 +193,49 @@ def eval_K(f: AdmissibleFunction, z: LogSurfacePoint,
 # Series summation
 # ---------------------------------------------------------------------------
 
-_DIRECT_LIMIT = 200_000
-_CHUNK = 65_536
-
-
 def _series_sum(f: AdmissibleFunction, z: LogSurfacePoint, offset: int,
                 n_start: int, tols: Tolerances, extra_term: float = 0.0):
-    """sum_{n >= n_start} z^n / gamma(n + offset) (+ extra_term), in log
-    space around the peak index, compensated accumulation."""
+    """sum_{n >= n_start} z^n / gamma(n + offset) (+ extra_term) over one
+    window of indices under the module's truncation rule.  Its half-width
+    starts at the curvature guess for the peak and doubles; the terms are
+    log-concave, so every term past an edge is smaller still."""
     logz = z.log_z
     drop_log = -math.log(tols.truncation_drop)
-
-    def exponents(ns):
-        return ns * logz - f.log_gamma(ns.astype(complex) + offset)
-
     try:
         n_peak = solve_real(f, z.log_r)
     except NoSaddleError:
         n_peak = 0.0
-
-    if n_peak + 10 <= _DIRECT_LIMIT:
-        lo = n_start
-        hi_guess = int(n_peak) + 64
-        m_running = -math.inf
-        blocks = []
-        n0 = lo
-        consec = 0
-        while True:
-            ns = np.arange(n0, n0 + 4096, dtype=float)
-            e = exponents(ns)
-            blocks.append((ns, e))
-            m_running = max(m_running, float(np.max(e.real)))
-            below = e.real < m_running - drop_log
-            # count trailing run of below-drop terms
-            run = 0
-            for b in below[::-1]:
-                if b:
-                    run += 1
-                else:
-                    break
-            consec = consec + run if run == below.size else run
-            n0 += 4096
-            if consec >= 30 and n0 > hi_guess:
-                break
-            if n0 > _DIRECT_LIMIT + 8192:
-                # peak close to the direct limit with a wide shoulder
-                if float(blocks[-1][1].real[-1]) > m_running - 0.8 * drop_log:
-                    raise QuadratureError(
-                        "series tail still significant at the direct limit; "
-                        "raise max_nodes to force the windowed path")
-                break
-        m = m_running
-    else:
-        # windowed summation around the huge peak
-        curv = abs(complex(f.d2log_gamma(np.complex128(n_peak))))
-        half = int(math.sqrt(2.0 * (drop_log + 10.0) / max(curv, 1e-300))) + 16
-        lo = max(n_start, int(n_peak) - half)
-        hi = int(n_peak) + half
-        if hi - lo > max(tols.max_nodes, _DIRECT_LIMIT):
+    centre = max(n_start, int(n_peak))
+    curv = abs(complex(f.d2log_gamma(np.complex128(max(n_peak, 1.0)))))
+    half = int(math.sqrt(2.0 * (drop_log + 10.0) / max(curv, 1e-300))) + 16
+    while True:
+        lo, hi = max(n_start, centre - half), centre + half
+        if hi - lo + 1 > tols.max_nodes:
             raise QuadratureError(
-                f"series window needs {hi - lo:,} terms around n = {n_peak:.3g}, "
-                f"beyond the {tols.max_nodes:,}-node budget; raise max_nodes "
-                "to force the computation")
-        blocks = []
-        m = -math.inf
-        for n0 in range(lo, hi + 1, _CHUNK):
-            ns = np.arange(n0, min(n0 + _CHUNK, hi + 1), dtype=float)
-            e = exponents(ns)
-            m = max(m, float(np.max(e.real)))
-            blocks.append((ns, e))
-        # edge sanity: window must reach the drop threshold
-        e_lo = blocks[0][1].real[0]
-        e_hi = blocks[-1][1].real[-1]
-        if lo > n_start and e_lo > m - 0.8 * drop_log:
-            raise QuadratureError("series window edge still significant (low side)")
-        if e_hi > m - 0.8 * drop_log:
-            raise QuadratureError("series window edge still significant (high side)")
+                f"series window needs {hi - lo + 1:,} terms around "
+                f"n = {n_peak:.3g}, beyond the {tols.max_nodes:,}-node budget")
+        ns = np.arange(lo, hi + 1, dtype=float)
+        e = ns * logz - f.log_gamma(ns.astype(complex) + offset)
+        m = float(np.max(e.real))
+        if e.real[-1] <= m - drop_log and \
+                (lo == n_start or e.real[0] <= m - drop_log):
+            break
+        half *= 2
 
     if extra_term != 0.0:
         # the n = 0 limit term may dominate everything at small radii;
         # fold it into the scale before exponentiating
         m = max(m, math.log(abs(extra_term)))
-
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    err_sum = 0.0
-    n_terms = 0
-    for ns, e in blocks:
-        t = np.abs(np.exp(e - m))
-        # each term's exponent carries ~eps * (|n log z| + |log gamma|)
-        # absolute rounding, which dominates the summation error itself
-        coef = 4.0 + np.abs(ns) * abs(logz) + np.abs(e)
-        err_sum += float(np.sum(t * coef))
-        n_terms += t.size
-        x = complex(np.sum(np.exp(e - m)))
-        # Neumaier step across blocks
-        new = total + x
-        if abs(total) >= abs(x):
-            comp += (total - new) + x
-        else:
-            comp += (x - new) + total
-        total = new
-    total += comp
+    x = np.exp(e - m)
+    total = complex(math.fsum(x.real), math.fsum(x.imag))
+    # each term's exponent carries ~eps * (|n log z| + |log gamma|)
+    # absolute rounding, which dominates the summation error itself
+    err_sum = float(np.sum(np.abs(x) * (4.0 + ns * abs(logz) + np.abs(e))))
     if extra_term != 0.0:
         total += extra_term * math.exp(-m)
         err_sum += 4.0 * abs(extra_term) * math.exp(-m)
-
     err = np.finfo(float).eps * err_sum + 31.0 * tols.truncation_drop
-    return _fold(total, err, max(n_terms, 1), tols, m)
+    return _fold(total, err, ns.size, tols, m)
 
 
 def eval_E_series(f: AdmissibleFunction, z, *,

@@ -181,7 +181,7 @@ def verify_theorem3_limits(ell: SlowlyVaryingEll,
     """Limits of the slowly-varying construction along a radius ladder.
 
     (i)  log gamma(rho) / (rho (log ell(rho) - log ell(c))) -> 1
-    (ii) ell(rho) / gamma(rho)^{1/rho}fty -> ell(c)   (when rho ell'/ell has
+    (ii) ell(rho) / gamma(rho)^{1/rho} -> ell(c)   (when rho ell'/ell has
          a limit)
 
     The construction integrates from c, so the reference constant is the

@@ -9,7 +9,6 @@ import pytest
 
 from mellin_saddle.cli import main, parse_at, parse_contour, parse_grid
 from mellin_saddle.errors import SpecError
-from mellin_saddle.surface import Tolerances
 
 GAMMA = '{"kind":"gamma_shift","params":{"c":0}}'
 GAMMA1 = '{"kind":"gamma_shift","params":{"c":1.0}}'
@@ -48,13 +47,12 @@ def test_parse_at_and_contour():
     z = parse_at("r=10,psi=0.5")
     assert z.log_r == pytest.approx(math.log(10.0))
     assert z.psi == 0.5
-    tols = Tolerances()
-    c = parse_contour("lalpha:2.0,vertex=3.5", tols)
+    c = parse_contour("lalpha:2.0,vertex=3.5")
     assert c.kind == "l_alpha" and c.alpha == 2.0 and c.vertex == 3.5
-    v = parse_contour("vertical:1.5", tols)
+    v = parse_contour("vertical:1.5")
     assert v.kind == "vertical" and v.c == 1.5
     with pytest.raises(SpecError):
-        parse_contour("spiral:1", tols)
+        parse_contour("spiral:1")
 
 
 def test_eval_K_csv_grid(capsys):

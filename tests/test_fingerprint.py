@@ -1,0 +1,48 @@
+"""tools/fingerprint.py compare, run as a script on hand-written dumps."""
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+
+BASE = [
+    "E gamma_shift0 r=2 psi=0\t((7.38905609893065+0j), 1e-12, 43, 0.0, True)",
+    "K-rays iterated_log r=10 psi=1\tQuadratureError: K ray contour does not decay",
+]
+
+
+def _compare(tmp_path, lines_b):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text("\n".join(BASE) + "\n")
+    b.write_text("\n".join(lines_b) + "\n")
+    return subprocess.run([sys.executable, str(TOOL), "compare", str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_identical_dumps_pass(tmp_path):
+    out = _compare(tmp_path, BASE)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "findings: 0" in out.stdout
+
+
+def test_move_inside_both_bars_passes(tmp_path):
+    moved = BASE[0].replace("7.38905609893065", "7.38905609893165")
+    out = _compare(tmp_path, [moved, BASE[1]])
+    assert out.returncode == 0, out.stdout + out.stderr
+
+
+@pytest.mark.parametrize("line_b, finding", [
+    (BASE[0].replace("True)", "False)"), "flag flip"),
+    (BASE[0].replace("7.38905609893065", "7.38905609903065"),
+     "outside both bars"),
+    (BASE[1].split("\t")[0] + "\t((1e-3+0j), 1e-12, 90, 0.0, True)",
+     "raise/return"),
+])
+def test_each_finding_fails(tmp_path, line_b, finding):
+    label = line_b.split("\t")[0]
+    lines_b = [line_b if ln.startswith(label + "\t") else ln for ln in BASE]
+    out = _compare(tmp_path, lines_b)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert finding in out.stdout

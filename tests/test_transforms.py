@@ -140,7 +140,7 @@ def test_E_at_zero(gamma0, gamma1):
 
 
 def test_E_alternating_cancellation(gamma0):
-    # e^{-10} out of terms as large as e^{10}: compensated summation keeps
+    # e^{-10} out of terms as large as e^{10}: exactly rounded summation keeps
     # ~8 digits and the error estimate owns the cancellation honestly
     res = eval_E_series(gamma0, LogSurfacePoint(math.log(10.0), math.pi))
     want = math.exp(-10.0)
@@ -168,6 +168,22 @@ def test_growth_sum_huge_peak_window(iterlog):
 def test_series_refuses_beyond_budget(iterlog):
     with pytest.raises(QuadratureError, match="window"):
         eval_growth_sum(iterlog, LogSurfacePoint(math.log(30.0), 0.0))
+
+
+@pytest.mark.parametrize("weight", ["gamma0", "theorem3_power"])
+def test_series_window_fits_the_peak(request, weight):
+    # a peak near n = 5 needs a few dozen terms, not a fixed first block
+    f = request.getfixturevalue(weight)
+    res = eval_E_series(f, LogSurfacePoint(math.log(5.0), 0.0))
+    assert res.converged
+    assert res.nodes <= 64
+
+
+def test_series_window_obeys_max_nodes(gamma0):
+    # max_nodes caps series terms as it caps quadrature nodes
+    with pytest.raises(QuadratureError, match="window"):
+        eval_growth_sum(gamma0, LogSurfacePoint(math.log(100.0), 0.0),
+                        tol=Tolerances.for_quadrature(max_nodes=100))
 
 
 # ---------------------------------------------------------------------------
