@@ -8,6 +8,15 @@ Phi' = (log gamma)'' from exact chain-rule composition.  Derived scales:
     eps(s)     = Phi(s) - log L(s)        (= s L'/L)
     eps'(s)    = Phi'(s) - eps(s)/s
 
+The jet takes an order: `AdmissibleFunction.jet(s, order)` calls the
+builder's `jet_fn(s, order)`, which computes the fields up to that order
+and leaves the rest None.  Each entry point asks for the least order it
+reads: `log_gamma` for 0 (Gamma(s) then costs one loggamma, a kernel
+weight one Cauchy sum), `dlog_gamma`, `epsilon` and `epsilon_sup` for 1,
+`d2log_gamma`, `epsilon_prime` and `phi_log` for 2 (`phi_log(w, 1)` for
+1, where the saddle solver's ray bracket reads Phi alone).  A field is
+bit-identical at every order that carries it.
+
 Builders cover: shifted factorial weights Gamma(s+c), exponential
 rescaling, shift-normalization, iterated-log weights exp(a*s*log_k^b(s+c)),
 powers/products/quotients, the (log L(s+1))^s closure, slowly-varying
@@ -55,7 +64,7 @@ class AdmissibleFunction:
     so instances can be shared freely across threads.
     """
 
-    def __init__(self, label: str, jet_fn: Callable[[np.ndarray], Jet2],
+    def __init__(self, label: str, jet_fn: Callable[[np.ndarray, int], Jet2],
                  c_gamma: float, alpha0: float, *,
                  positive_type: bool = False, degenerate: bool = False,
                  phi_log_fn: Optional[Callable] = None,
@@ -78,30 +87,31 @@ class AdmissibleFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def jet(self, s) -> Jet2:
+    def jet(self, s, order: int = 2) -> Jet2:
+        """The jet of log gamma at s, with the fields up to order (0, 1, 2)."""
         s = np.asarray(s, dtype=complex)
-        return self._jet_fn(s)
+        return self._jet_fn(s, order)
 
     def _scalar_ok(self, s, arr):
         return complex(arr) if np.ndim(s) == 0 else arr
 
     def log_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s).val)
+        return self._scalar_ok(s, self.jet(s, 0).val)
 
     def dlog_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s).d1)
+        return self._scalar_ok(s, self.jet(s, 1).d1)
 
     def d2log_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s).d2)
+        return self._scalar_ok(s, self.jet(s, 2).d2)
 
     def epsilon(self, s):
         sa = np.asarray(s, dtype=complex)
-        j = self.jet(sa)
+        j = self.jet(sa, 1)
         return self._scalar_ok(s, j.d1 - j.val / sa)
 
     def epsilon_prime(self, s):
         sa = np.asarray(s, dtype=complex)
-        j = self.jet(sa)
+        j = self.jet(sa, 2)
         eps = j.d1 - j.val / sa
         return self._scalar_ok(s, j.d2 - eps / sa)
 
@@ -112,19 +122,21 @@ class AdmissibleFunction:
         """True when the family gives Phi past |s| = e^300 as well."""
         return self._phi_log_fn is not None
 
-    def phi_log(self, w):
+    def phi_log(self, w, order: int = 2):
         """(Phi(e^w), dPhi/dw) at the points w = log s.
 
         Taken from the jet while Re w < 300 and from the family's
         asymptotic form past that; a weight without one raises
-        NoSaddleError there.
+        NoSaddleError there.  order=1 asks for Phi alone: the jet is then
+        taken at order 1 and gives None for dPhi/dw (the asymptotic forms
+        give both at no cost).
         """
         w = np.asarray(w, dtype=complex)
         far = w.real >= _JET_LOG_RADIUS
         if not np.any(far):
             s = np.exp(w)
-            j = self.jet(s)
-            return j.d1, s * j.d2
+            j = self.jet(s, order)
+            return j.d1, s * j.d2 if order >= 2 else None
         if self._phi_log_fn is None:
             raise NoSaddleError(f"{self.label}: Phi is known only from the jet, "
                                 f"up to |s| = e^{_JET_LOG_RADIUS:g}")
@@ -212,9 +224,10 @@ def gamma_shift(c: float = 0.0, label: Optional[str] = None) -> AdmissibleFuncti
     if c < 0:
         raise BuildError(f"gamma_shift needs c >= 0, got {c}")
 
-    def jet_fn(s):
+    def jet_fn(s, order):
         w = s + c
-        return Jet2(loggamma(w), digamma(w), trigamma(w))
+        return Jet2(loggamma(w), digamma(w) if order >= 1 else None,
+                    trigamma(w) if order >= 2 else None)
 
     def phi_log_fn(w):
         # digamma(s) ~ log s once |s| is huge; ds/dw * psi'(s) = s psi'(s) -> 1
@@ -246,10 +259,10 @@ def iterated_log(a: float = 1.0, b: float = 1.0, k: int = 1,
             f"got log_{k}({c:g}) = {ladder:.6g}")
     ab = a * b
 
-    def jet_fn(s):
-        base = Jet2.variable(s) + c
+    def jet_fn(s, order):
+        base = Jet2.variable(s, order) + c
         m = _iterated_log_jet(base, k + 1)       # log_{k+1}(s+c)
-        return Jet2.variable(s) * m * ab
+        return Jet2.variable(s, order) * m * ab
 
     def phi_log_fn(w):
         # Phi(s) = a b (M + s M') with M = log_{k+1}(s), s + c taken as s
@@ -267,9 +280,9 @@ def exp_scale(child: AdmissibleFunction, tau: float,
               label: Optional[str] = None) -> AdmissibleFunction:
     """gamma(s) * e^{tau s}."""
 
-    def jet_fn(s):
-        j = child.jet(s)
-        return Jet2(j.val + tau * s, j.d1 + tau, j.d2)
+    def jet_fn(s, order):
+        j = child.jet(s, order)
+        return Jet2(j.val + tau * s, j.d1 + tau if order >= 1 else None, j.d2)
 
     return AdmissibleFunction(label or f"{child.label}*exp({tau:g}s)", jet_fn,
                               child.c_gamma, child.alpha0,
@@ -283,9 +296,8 @@ def shift_normalize(child: AdmissibleFunction, c: float,
         raise BuildError(f"shift_normalize needs c > 0, got {c}")
     lg_c = complex(child.log_gamma(complex(c)))
 
-    def jet_fn(s):
-        j = child.jet(s + c)
-        return Jet2(j.val - lg_c, j.d1, j.d2)
+    def jet_fn(s, order):
+        return child.jet(s + c, order) - lg_c
 
     phi_log_fn = None
     if child.has_log_domain:
@@ -301,9 +313,8 @@ def power(child: AdmissibleFunction, a: float,
     if a <= 0:
         raise BuildError(f"power needs a > 0, got {a}")
 
-    def jet_fn(s):
-        j = child.jet(s)
-        return Jet2(a * j.val, a * j.d1, a * j.d2)
+    def jet_fn(s, order):
+        return child.jet(s, order) * a
 
     phi_log_fn = None
     if child.has_log_domain:
@@ -316,8 +327,8 @@ def power(child: AdmissibleFunction, a: float,
 
 def product(c1: AdmissibleFunction, c2: AdmissibleFunction,
             label: Optional[str] = None) -> AdmissibleFunction:
-    def jet_fn(s):
-        return c1.jet(s) + c2.jet(s)
+    def jet_fn(s, order):
+        return c1.jet(s, order) + c2.jet(s, order)
 
     phi_log_fn = None
     if c1.has_log_domain and c2.has_log_domain:
@@ -352,9 +363,8 @@ def quotient(c1: AdmissibleFunction, c2: AdmissibleFunction,
         raise BuildError("quotient: (gamma1/gamma2)^(1/rho) shows no growth "
                          "on [1, 1e6]; unboundedness audit failed")
 
-    def jet_fn(s):
-        j1, j2 = c1.jet(s), c2.jet(s)
-        return Jet2(j1.val - j2.val, j1.d1 - j2.d1, j1.d2 - j2.d2)
+    def jet_fn(s, order):
+        return c1.jet(s, order) - c2.jet(s, order)
 
     phi_log_fn = None
     if c1.has_log_domain and c2.has_log_domain:
@@ -388,10 +398,9 @@ def log_of_scale(child: AdmissibleFunction,
             f"log_of_scale: log L(s+1) <= 0 at s = {bad:.6g}; the scale of "
             f"{child.label} is too small near the origin for this closure")
 
-    def jet_fn(s):
-        w = child.jet(s + 1.0)
-        logL = w / Jet2(s + 1.0, np.ones_like(s), np.zeros_like(s))
-        return Jet2.variable(s) * logL.log()
+    def jet_fn(s, order):
+        logL = child.jet(s + 1.0, order) / Jet2.variable(s + 1.0, order)
+        return Jet2.variable(s, order) * logL.log()
 
     return AdmissibleFunction(label or f"(log L_{{{child.label}}}(s+1))^s",
                               jet_fn, c_new, child.alpha0)
@@ -400,9 +409,10 @@ def log_of_scale(child: AdmissibleFunction,
 def monomial_exponent(p: float, coeff: float = 1.0) -> AdmissibleFunction:
     """gamma(s) = exp(coeff * s^p); p > 1 controls for audits/Carleman."""
 
-    def jet_fn(s):
-        return Jet2(coeff * s ** p, coeff * p * s ** (p - 1.0),
-                    coeff * p * (p - 1.0) * s ** (p - 2.0))
+    def jet_fn(s, order):
+        return Jet2(coeff * s ** p,
+                    coeff * p * s ** (p - 1.0) if order >= 1 else None,
+                    coeff * p * (p - 1.0) * s ** (p - 2.0) if order >= 2 else None)
 
     return AdmissibleFunction(f"exp({coeff:g}*s^{p:g})", jet_fn, 1.0, math.pi)
 
@@ -461,22 +471,19 @@ _ELL_PRESETS = {
 }
 
 
-def _cauchy_sums(s, u, w):
-    """sum_j w_j (s + u_j)^{-m} for m = 1, 2, 3 at the flat complex points s,
-    taken in blocks of about 4e6 terms."""
-    i1 = np.empty_like(s)
-    i2 = np.empty_like(s)
-    i3 = np.empty_like(s)
+def _cauchy_sums(s, u, w, count):
+    """[sum_j w_j (s + u_j)^{-m} for m = 1..count] at the flat complex
+    points s, taken in blocks of about 4e6 terms."""
+    sums = [np.empty_like(s) for _ in range(count)]
     chunk = max(1, int(4e6 // max(u.size, 1)))
     for k in range(0, s.size, chunk):
         d = s[k:k + chunk, None] + u[None, :]
         r = w[None, :] / d
-        i1[k:k + chunk] = r.sum(axis=1)
-        r /= d
-        i2[k:k + chunk] = r.sum(axis=1)
-        r /= d
-        i3[k:k + chunk] = r.sum(axis=1)
-    return i1, i2, i3
+        sums[0][k:k + chunk] = r.sum(axis=1)
+        for out in sums[1:]:
+            r /= d
+            out[k:k + chunk] = r.sum(axis=1)
+    return sums
 
 
 class _CauchyKernelGrid:
@@ -510,14 +517,14 @@ class _CauchyKernelGrid:
             self._grids[s_cover] = (u, wv * self._weight_at(u))
         return self._grids[s_cover]
 
-    def integrals(self, s):
-        """I1, I2, I3 at the (flat complex array) points s."""
+    def integrals(self, s, count):
+        """[I1, .., I_count] at the (flat complex array) points s."""
         s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
         amax = float(np.max(np.abs(s))) if s.size else 1.0
         s_cover = 1e8
         while s_cover < amax:
             s_cover *= 10.0
-        return _cauchy_sums(s, *self._grid(s_cover))
+        return _cauchy_sums(s, *self._grid(s_cover), count)
 
 
 def build_theorem3(ell: SlowlyVaryingEll,
@@ -527,15 +534,12 @@ def build_theorem3(ell: SlowlyVaryingEll,
     grid = _CauchyKernelGrid(lambda u: np.asarray(ell.dlog_ell(u), dtype=float) * u,
                              ell.c)
 
-    def jet_fn(s):
-        shape = s.shape
-        flat = s.ravel()
-        i1, i2, i3 = grid.integrals(flat)
-        i1, i2, i3 = (a.reshape(shape) for a in (i1, i2, i3))
-        val = s * s * i1
-        d1 = 2.0 * s * i1 - s * s * i2
-        d2 = 2.0 * i1 - 4.0 * s * i2 + 2.0 * s * s * i3
-        return Jet2(val, d1, d2)
+    def jet_fn(s, order):
+        i = [a.reshape(s.shape) for a in grid.integrals(s.ravel(), order + 1)]
+        return Jet2(s * s * i[0],
+                    2.0 * s * i[0] - s * s * i[1] if order >= 1 else None,
+                    2.0 * i[0] - 4.0 * s * i[1] + 2.0 * s * s * i[2]
+                    if order >= 2 else None)
 
     lbl = label or f"scale[{ell.label}, c={ell.c:g}]"
     return AdmissibleFunction(lbl, jet_fn, ell.c, math.pi)
@@ -590,27 +594,30 @@ def _positive_type_edges(spec: PositiveTypeSpec):
     return np.array(sorted(pts))
 
 
-def _tail_closed_forms(s, cut, k1, k2, saw):
-    """Closed-form tails of I1, I2, I3 for m ~ k1/u + k2/u^2 + saw*(frac-1/2)/u^2."""
+def _tail_closed_forms(s, cut, k1, k2, saw, count):
+    """Closed-form tails [T1, .., T_count] of I1, I2, I3 for
+    m ~ k1/u + k2/u^2 + saw*(frac-1/2)/u^2."""
     lc = np.log1p(s / cut)
     d = 1.0 / (s + cut)
     g = lc / s
     h = 1.0 / (s * cut) - lc / s ** 2
-    gp = d / s - lc / s ** 2
-    hp = -1.0 / (s ** 2 * cut) - d / s ** 2 + 2.0 * lc / s ** 3
-    gpp = -d * d / s - 2.0 * d / s ** 2 + 2.0 * lc / s ** 3
-    hpp = 2.0 / (s ** 3 * cut) + d * d / s ** 2 + 4.0 * d / s ** 3 - 6.0 * lc / s ** 4
-    t1 = k1 * g + k2 * h
-    t2 = -(k1 * gp + k2 * hp)
-    t3 = 0.5 * (k1 * gpp + k2 * hpp)
+    tails = [k1 * g + k2 * h]
+    if count >= 2:
+        gp = d / s - lc / s ** 2
+        hp = -1.0 / (s ** 2 * cut) - d / s ** 2 + 2.0 * lc / s ** 3
+        tails.append(-(k1 * gp + k2 * hp))
+    if count >= 3:
+        gpp = -d * d / s - 2.0 * d / s ** 2 + 2.0 * lc / s ** 3
+        hpp = 2.0 / (s ** 3 * cut) + d * d / s ** 2 + 4.0 * d / s ** 3 - 6.0 * lc / s ** 4
+        tails.append(0.5 * (k1 * gpp + k2 * hpp))
     if saw != 0.0:
         # Euler-Maclaurin leading term -(1/12) u^{-2} (u+s)^{-m} at u = cut,
-        # one copy per kernel power m = 1, 2, 3
-        phi1 = cut ** -2.0 * d
-        t1 = t1 - saw / 12.0 * phi1
-        t2 = t2 - saw / 12.0 * (phi1 * d)
-        t3 = t3 - saw / 12.0 * (phi1 * d * d)
-    return t1, t2, t3
+        # one copy per kernel power m
+        phi = cut ** -2.0 * d
+        for m in range(count):
+            tails[m] = tails[m] - saw / 12.0 * phi
+            phi = phi * d
+    return tails
 
 
 def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
@@ -633,19 +640,18 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
     cut, k1, k2, saw = spec.support_cut, spec.tail_kappa1, spec.tail_kappa2, spec.tail_sawtooth
     a0, A, B = spec.a, spec.A, spec.B
 
-    def jet_fn(s):
-        shape = s.shape
+    def jet_fn(s, order):
         flat = s.ravel()
-        i1, i2, i3 = _cauchy_sums(flat, u, wts)
+        i = _cauchy_sums(flat, u, wts, order + 1)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
-            t1, t2, t3 = _tail_closed_forms(flat, cut, k1, k2, saw)
-            i1, i2, i3 = i1 + t1, i2 + t2, i3 + t3
-        i1, i2, i3 = (arr.reshape(shape) for arr in (i1, i2, i3))
+            tails = _tail_closed_forms(flat, cut, k1, k2, saw, order + 1)
+            i = [im + tm for im, tm in zip(i, tails)]
+        i = [arr.reshape(s.shape) for arr in i]
         q = s - a0
-        val = A + B * s + q * q * i1
-        d1 = B + 2.0 * q * i1 - q * q * i2
-        d2 = 2.0 * i1 - 4.0 * q * i2 + 2.0 * q * q * i3
-        return Jet2(val, d1, d2)
+        return Jet2(A + B * s + q * q * i[0],
+                    B + 2.0 * q * i[0] - q * q * i[1] if order >= 1 else None,
+                    2.0 * i[0] - 4.0 * q * i[1] + 2.0 * q * q * i[2]
+                    if order >= 2 else None)
 
     support_inf = 0.0
     pos = np.nonzero(m > 0)[0]

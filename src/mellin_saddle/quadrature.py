@@ -52,10 +52,9 @@ def _panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _XK
     y = np.asarray(f(x))
-    ik = half * np.tensordot(_WK, y, axes=(0, 0))
-    ig = half * np.tensordot(_WG, y[_GAUSS_IDX], axes=(0, 0))
-    absint = half * float(np.tensordot(_WK, np.abs(y), axes=(0, 0)).max()) \
-        if y.ndim > 1 else half * float(np.dot(_WK, np.abs(y)))
+    ik = half * (_WK @ y)
+    ig = half * (_WG @ y[_GAUSS_IDX])
+    absint = half * float(np.max(_WK @ np.abs(y)))
     err = float(np.max(np.abs(ik - ig)))
     return ik, err, absint
 

@@ -64,13 +64,15 @@ class RegionTag:
         return f"{self.kind}(alpha={a}, rho0={self.rho0_used:.6g})"
 
 
-def _phi_w(f: AdmissibleFunction, w: complex) -> Tuple[complex, complex]:
-    """(Phi(e^w), dPhi/dw); NoSaddleError where Phi cannot be evaluated."""
+def _phi_w(f: AdmissibleFunction, w: complex,
+           order: int = 2) -> Tuple[complex, Optional[complex]]:
+    """(Phi(e^w), dPhi/dw), with None for dPhi/dw at order 1;
+    NoSaddleError where Phi cannot be evaluated."""
     if not w.real >= _LOG_RHO_MIN:
         raise NoSaddleError(f"{f.label}: |s| = e^{w.real:.6g} is below the "
                             "range of Phi")
-    phi, dphi = f.phi_log(w)
-    return complex(phi), complex(dphi)
+    phi, dphi = f.phi_log(w, order)
+    return complex(phi), complex(dphi) if order >= 2 else None
 
 
 def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
@@ -81,7 +83,7 @@ def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
     """
     rho = max(1.0, 1.5 * f.c_gamma + 0.5)
     x0 = x = math.log(rho)
-    g_prev = _phi_w(f, x0)[0].real
+    g_prev = _phi_w(f, x0, 1)[0].real
     up = g_prev < target
     factor = 3.0 if up else 0.25
     step = math.log(factor)
@@ -93,7 +95,7 @@ def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
         else:
             step *= 2.0
             x += step
-        g = _phi_w(f, x)[0].real
+        g = _phi_w(f, x, 1)[0].real
         if (g >= target) if up else (g <= target):
             break
         if not up:

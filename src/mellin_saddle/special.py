@@ -43,25 +43,34 @@ def trigamma(z):
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
-    z = np.atleast_1d(z).copy()
-    out = np.zeros_like(z)
+    z = np.atleast_1d(z)
+    out = np.empty_like(z)
 
     # Far-left strip near the cut: reflect to Re >= 1.  The sin term is
-    # computable as long as |Im| stays moderate.
+    # computable as long as |Im| stays moderate; its argument is reduced
+    # by an even integer first (exactly), so pi*z loses no digits to a
+    # large Re z.
     refl = (z.real < -_ASYMPT_RE) & (np.abs(z.imag) < 50.0)
     if np.any(refl):
         zr = z[refl]
-        s = np.sin(np.pi * zr)
+        s = np.sin(np.pi * (zr - 2.0 * np.round(0.5 * zr.real)))
         out[refl] = (np.pi / s) ** 2 - trigamma(1.0 - zr)
     work = ~refl
 
-    # Recurrence psi'(z) = psi'(z+1) + 1/z^2 until the series applies.
+    # Recurrence psi'(z) = sum_{k<n} 1/(z+k)^2 + psi'(z+n), each point
+    # shifted by its own n = ceil(10 - Re z) steps so that the series is
+    # taken at Re >= 10 (|Im| >= 50 needs no shift).
     zz = z[work]
     acc = np.zeros_like(zz)
-    need = (zz.real < _ASYMPT_RE) & (np.abs(zz.imag) < 50.0)
-    while np.any(need):
-        acc[need] += 1.0 / zz[need] ** 2
-        zz[need] += 1.0
-        need = (zz.real < _ASYMPT_RE) & (np.abs(zz.imag) < 50.0)
+    need = np.nonzero((zz.real < _ASYMPT_RE) & (np.abs(zz.imag) < 50.0))[0]
+    if need.size:
+        zn = zz[need]
+        n = np.ceil(_ASYMPT_RE - zn.real)
+        k = np.arange(n.max())
+        terms = np.reciprocal(zn[:, None] + k)
+        terms *= terms
+        terms[k >= n[:, None]] = 0.0
+        acc[need] = terms.sum(axis=1)
+        zz[need] = zn + n
     out[work] = acc + _trigamma_asymptotic(zz)
     return out[0] if scalar else out

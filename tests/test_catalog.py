@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -364,3 +365,89 @@ def test_theorem3_jet_independent_of_earlier_calls():
     for a, b in [(before.val, after.val), (before.d1, after.d1),
                  (before.d2, after.d2)]:
         assert repr(complex(a)) == repr(complex(b))
+
+
+# ---------------------------------------------------------------------------
+# the jet's order contract
+# ---------------------------------------------------------------------------
+
+_ORDER_KINDS = ("gamma_shift", "iterated_log", "exp_scale", "shift_normalize",
+                "power", "product", "quotient", "log_of_L", "theorem3",
+                "positive_type_factorial", "positive_type_iterated_log_jump",
+                "positive_type_degenerate", "monomial_exponent")
+
+
+@pytest.fixture(scope="module")
+def order_weights():
+    """One weight per builder kind, the three positive-type presets apart."""
+    g1 = gamma_shift(1.0)
+    il = iterated_log(1.0, 1.0, 1, math.e)
+    return {
+        "gamma_shift": g1,
+        "iterated_log": il,
+        "exp_scale": exp_scale(g1, 0.8),
+        "shift_normalize": shift_normalize(gamma_shift(0.0), 2.0),
+        "power": power(g1, 1.5),
+        "product": product(g1, il),
+        "quotient": quotient(product(g1, g1), g1),
+        "log_of_L": log_of_scale(il),
+        "theorem3": build_theorem3(ell_power(1.0, 1.0)),
+        "positive_type_factorial": build_positive_type(positive_type_factorial()),
+        "positive_type_iterated_log_jump":
+            build_positive_type(positive_type_iterated_log()),
+        "positive_type_degenerate": build_positive_type(positive_type_degenerate(0.5)),
+        "monomial_exponent": monomial_exponent(1.5),
+    }
+
+
+@pytest.mark.parametrize("s", [np.complex128(3.0 + 0.7j),
+                               np.array([0.6 + 0j, 4.0 - 2.0j, 25.0 + 9.0j])],
+                         ids=["scalar", "array"])
+@pytest.mark.parametrize("kind", _ORDER_KINDS)
+def test_jet_order_fields_bit_identical(order_weights, kind, s):
+    # a lower order leaves the fields it skips unset and the fields it
+    # computes bit-identical to the full jet's
+    f = order_weights[kind]
+    full, j0, j1 = f.jet(s), f.jet(s, 0), f.jet(s, 1)
+    (phi1, dphi1), (phi2, _) = f.phi_log(np.log(s), 1), f.phi_log(np.log(s))
+    assert (j0.d1, j0.d2, j1.d2, dphi1) == (None, None, None, None)
+    for got, want in [(j0.val, full.val), (j1.val, full.val), (j1.d1, full.d1),
+                      (f.log_gamma(s), full.val), (f.dlog_gamma(s), full.d1),
+                      (phi1, phi2)]:
+        assert np.asarray(got, dtype=complex).tobytes() == \
+            np.asarray(want, dtype=complex).tobytes()
+
+
+def test_value_only_log_gamma_skips_polygamma(monkeypatch):
+    import mellin_saddle.catalog as catalog
+
+    calls = Counter()
+    for name in ("loggamma", "digamma", "trigamma"):
+        def spy(w, fn=getattr(catalog, name), name=name):
+            calls[name] += 1
+            return fn(w)
+        monkeypatch.setattr(catalog, name, spy)
+    f = gamma_shift(0.0)
+    f.log_gamma(2.5 + 0j)
+    f.log_gamma(np.array([1.5 + 0j, 3.0 + 2j]))
+    assert calls == {"loggamma": 2}
+    f.dlog_gamma(2.5 + 0j)
+    assert calls == {"loggamma": 3, "digamma": 1}
+    f.d2log_gamma(2.5 + 0j)
+    assert calls == {"loggamma": 4, "digamma": 2, "trigamma": 1}
+
+
+def test_kernel_jet_takes_one_cauchy_sum_per_order(monkeypatch, theorem3_power):
+    import mellin_saddle.catalog as catalog
+
+    counts = []
+
+    def spy(s, u, w, count, fn=catalog._cauchy_sums):
+        counts.append(count)
+        return fn(s, u, w, count)
+
+    monkeypatch.setattr(catalog, "_cauchy_sums", spy)
+    theorem3_power.log_gamma(np.array([2.0 + 0j, 5.0 + 1j]))
+    theorem3_power.epsilon(7.0 + 0j)
+    theorem3_power.d2log_gamma(7.0 + 0j)
+    assert counts == [1, 2, 3]

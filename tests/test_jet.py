@@ -51,3 +51,18 @@ def test_jet_reciprocal_identity():
     assert complex(one.val) == pytest.approx(1.0)
     assert abs(complex(one.d1)) < 1e-14
     assert abs(complex(one.d2)) < 1e-14
+
+
+@pytest.mark.parametrize("s", [np.complex128(0.7 + 1.9j), np.array([2.0 + 0j, -0.4 + 3j])])
+def test_jet_order_truncates_bit_identically(s):
+    def jet_of(order):
+        v = Jet2.variable(s, order)
+        return ((v * v + 1) / (v + 5)).exp() * (v + 5).log() - (v + 4).pow(1.7) * 2
+
+    full, j0, j1 = jet_of(2), jet_of(0), jet_of(1)
+    assert (j0.order, j1.order, full.order) == (0, 1, 2)
+    assert (j0.d1, j0.d2, j1.d2) == (None, None, None)
+    for got, want in [(j0.val, full.val), (j1.val, full.val), (j1.d1, full.d1)]:
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    # arithmetic between jets keeps the lower order
+    assert (Jet2.variable(s, 1) * Jet2.variable(s)).order == 1

@@ -39,3 +39,25 @@ def test_trigamma_schwarz():
 def test_reexports_complex_capable():
     assert digamma(1.0 + 1.0j) == pytest.approx(sp.digamma(1.0 + 1.0j))
     assert loggamma(0.5 + 0j).imag == pytest.approx(0.0)
+
+
+def test_trigamma_vs_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    z = np.concatenate([
+        # the recurrence strip, each point shifted by its own step count
+        rng.uniform(-10, 10, 200) + 1j * rng.uniform(-20, 20, 200),
+        rng.uniform(-9.9, 0, 40) + 1j * rng.uniform(-0.5, 0.5, 40),
+        [-9.5 + 0.1j, -5.3 + 2j, 0.3 + 0j, 9.99 + 0j],
+        # reflection branch: Re z < -10, |Im z| < 50
+        rng.uniform(-300, -10.01, 60) + 1j * rng.uniform(-49, 49, 60),
+        # |Im z| >= 50: the series directly, left half-plane included
+        rng.uniform(-100, 100, 60) + 1j * rng.choice([-1, 1], 60) * rng.uniform(50, 200, 60),
+    ])
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.psi(1, mpmath.mpc(x.real, x.imag))) for x in z])
+    assert np.max(np.abs(trigamma(z) - want) / np.abs(want)) <= 1e-14
+    for x, w in zip(z[::20], want[::20]):
+        got = trigamma(x)
+        assert np.ndim(got) == 0
+        assert abs(got - w) <= 1e-14 * abs(w)
