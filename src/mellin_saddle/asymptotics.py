@@ -51,18 +51,15 @@ def _split_scale(logval: complex, region: RegionTag, warnings) -> AsymptoticValu
     return AsymptoticValue(cmath.exp(1j * im), re, region, list(warnings))
 
 
-def _log_sqrt_ratio(f: AdmissibleFunction, sol: SaddleSolution) -> complex:
-    """log sqrt(s_z / eps(s_z)) with the branch carried from the ray: the
-    argument of s_z is the solver's theta_z, the argument of eps stays
-    principal (eps hugs the positive axis throughout the sector)."""
+def _saddle_terms(f: AdmissibleFunction, sol: SaddleSolution):
+    """(log sqrt(s_z / eps), s_z eps) at eps = eps(s_z), evaluated once.
+    The root's branch is carried from the ray: the argument of s_z is the
+    solver's theta_z, the argument of eps stays principal (eps hugs the
+    positive axis throughout the sector)."""
     eps = complex(f.epsilon(np.complex128(sol.s_z)))
     arg_q = sol.theta_z - cmath.phase(eps)
     log_abs_q = math.log(abs(sol.s_z)) - math.log(abs(eps))
-    return 0.5 * complex(log_abs_q, arg_q)
-
-
-def _s_eps(f: AdmissibleFunction, sol: SaddleSolution) -> complex:
-    return sol.s_z * complex(f.epsilon(np.complex128(sol.s_z)))
+    return 0.5 * complex(log_abs_q, arg_q), sol.s_z * eps
 
 
 def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
@@ -79,8 +76,8 @@ def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
             f"decay asymptotics not applicable at {z}: saddle "
             f"{'missing' if sol is None else f'at theta={sol.theta_z:.4g}, rho={sol.rho_z:.4g}'}"
             f" is outside Omega({alpha:.4g}, {tag.rho0_used:.4g})")
-    logval = _log_sqrt_ratio(f, sol) - 0.5 * math.log(2.0 * math.pi) \
-        - _s_eps(f, sol)
+    log_sqrt, s_eps = _saddle_terms(f, sol)
+    logval = log_sqrt - 0.5 * math.log(2.0 * math.pi) - s_eps
     region = RegionTag("inside", abs(sol.theta_z), tag.rho0_used)
     return _split_scale(logval, region, [])
 
@@ -110,8 +107,8 @@ def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
         alpha = None if sol is None else abs(sol.theta_z)
         return AsymptoticValue(0.0, 0.0, RegionTag(kind, alpha, tag.rho0_used),
                                warnings)
-    logval = _log_sqrt_ratio(f, sol) + 0.5 * math.log(2.0 * math.pi) \
-        + _s_eps(f, sol)
+    log_sqrt, s_eps = _saddle_terms(f, sol)
+    logval = log_sqrt + 0.5 * math.log(2.0 * math.pi) + s_eps
     if abs(sol.theta_z) >= half_pi - delta:
         warnings.append(
             "transition annulus (|theta_z| within delta of pi/2): the saddle "
@@ -125,8 +122,8 @@ def local_gaussian_reference(f: AdmissibleFunction,
                              sol: SaddleSolution) -> AsymptoticValue:
     """i sqrt(2 pi s/eps) exp(-s eps) at s_z: the model value the local
     saddle integral converges to."""
-    logval = _log_sqrt_ratio(f, sol) + 0.5 * math.log(2.0 * math.pi) \
-        + 0.5j * math.pi - _s_eps(f, sol)
+    log_sqrt, s_eps = _saddle_terms(f, sol)
+    logval = log_sqrt + 0.5 * math.log(2.0 * math.pi) + 0.5j * math.pi - s_eps
     return _split_scale(logval, RegionTag("inside", abs(sol.theta_z), 0.0), [])
 
 

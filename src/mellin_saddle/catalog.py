@@ -83,7 +83,7 @@ class AdmissibleFunction:
         self._phi_log_fn = phi_log_fn
         self._one_over_gamma0 = None
         self._rho0 = None
-        self._eps_sup = None
+        self._eps_probe = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -164,14 +164,14 @@ class AdmissibleFunction:
 
     def epsilon_sup(self) -> float:
         """sup of eps over a log grid on [1, 1e6]; proxy for limsup estimates."""
-        if self._eps_sup is None:
+        if self._eps_probe is None:
             rho = np.geomspace(1.0, 1e6, 61)
-            self._eps_sup = float(np.max(np.real(self.epsilon(rho + 0j))))
-        return self._eps_sup
+            self._eps_probe = np.real(self.epsilon(rho + 0j))
+        return float(np.max(self._eps_probe))
 
     def epsilon_limsup_estimate(self) -> float:
-        rho = np.geomspace(1e4, 1e6, 21)
-        return float(np.max(np.real(self.epsilon(rho + 0j))))
+        self.epsilon_sup()      # fills the probe; [40:] spans [1e4, 1e6]
+        return float(np.max(self._eps_probe[40:]))
 
     def default_rho0(self) -> float:
         """Smallest probe radius past which the slow-variation ratios
@@ -884,7 +884,7 @@ def audit_admissibility(f: AdmissibleFunction, grid=None, *,
         grid = np.geomspace(1.0, 1e7, 61)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 8 or np.any(np.diff(grid) <= 0) or grid[0] <= 0:
-        raise ValueError("grid must be increasing, positive, with >= 8 points")
+        raise SpecError("grid must be increasing, positive, with >= 8 points")
 
     eps = np.real(f.epsilon(grid + 0j))
     epsp = np.real(f.epsilon_prime(grid + 0j))

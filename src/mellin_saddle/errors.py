@@ -10,7 +10,7 @@ class MellinSaddleError(Exception):
     """Base class for all library errors."""
 
 
-class SpecError(MellinSaddleError):
+class SpecError(MellinSaddleError, ValueError):
     """A function spec / CLI argument could not be interpreted."""
 
 

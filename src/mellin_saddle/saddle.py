@@ -12,9 +12,10 @@ enough, so a saddle is found in two stages:
   theta_z = Im w.  If theta_z reaches the sector edge before psi is
   reached, the point has no saddle there and is tagged accordingly.
 
-solve_real and solve refuse saddle radii past 1e290.  solve_real_log,
-solve_log_domain and boundary_psi reach them with the same solver; a
-solution there carries log_rho_z while rho_z itself is inf.
+solve_real and solve refuse saddle radii past 1e290; solve_real_log and
+solve_log_domain reach them (log_rho_z holds the radius, rho_z is inf).
+boundary_psi steps theta = Im w from the ray root to alpha on the level
+curve Re Phi(e^w) = log r and keeps psi = Im Phi if psi's saddle is there.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .catalog import _JET_LOG_RADIUS, AdmissibleFunction
-from .errors import ContinuationError, NoSaddleError
+from .errors import ContinuationError, NoSaddleError, SpecError
 from .surface import LogSurfacePoint, Tolerances
 
 _EDGE_DELTA = 0.02          # sector-edge margin alpha0 - delta for continuation
@@ -267,7 +268,7 @@ def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float,
     """Membership tag for Omega(alpha, rho0): inside iff the saddle exists
     with |theta_z| < alpha and rho_z > rho0."""
     if not alpha < f.alpha0:
-        raise ValueError(f"alpha must be below alpha0 = {f.alpha0:.6g}")
+        raise SpecError(f"alpha must be below alpha0 = {f.alpha0:.6g}")
     rho0_used = rho0 if rho0 is not None else f.default_rho0()
     try:
         sol, tag = solve(f, z, rho0=rho0_used)
@@ -280,53 +281,52 @@ def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float,
     return RegionTag("outside", alpha, rho0_used)
 
 
-def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float, *,
-                 theta_tol: float = 1e-8) -> float:
+def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
     """The positive sheet argument psi at which the saddle of r e^{i psi}
     sits at angle alpha (the boundary curve of Omega(alpha) at radius r).
+
+    theta steps from 0 to alpha on the level curve Re Phi(e^{u+i theta})
+    = log_r (Newton in u, at most 6 evaluations; a failed step halves).
+    NoSaddleError where the curve folds (Re dPhi/dw <= 0), where the step
+    falls below 1e-9 alpha, or where the saddle of log_r + i psi misses.
     """
     if alpha == 0.0:
         return 0.0
     if alpha < 0.0:
-        return -boundary_psi(f, log_r, -alpha, theta_tol=theta_tol)
+        return -boundary_psi(f, log_r, -alpha)
     if not alpha < f.alpha0 - _EDGE_DELTA:
-        raise ValueError(f"alpha too close to the sector edge {f.alpha0:.6g}")
-
+        raise SpecError(f"alpha too close to the sector edge {f.alpha0:.6g}")
     rel_tol = Tolerances.for_root_finding().rel_tol
-    x = _ray_root(f, log_r, rel_tol)
-    # Im Phi ~ theta * dPhi/dw near the ray
-    eps_ray = abs(_phi_w(f, complex(x))[1])
-
-    def theta_at(psi: float) -> float:
-        sol = _continue(f, x, complex(log_r, psi), rel_tol)
-        return math.inf if sol is None else sol.theta_z
-
-    psi_hi = 0.9 * alpha * eps_ray
-    psi_lo = 0.0
-    cap = math.pi * max(f.epsilon_sup(), 1.0) + 1.0
-    for _ in range(80):
-        th = theta_at(psi_hi)
-        if th > alpha:
-            break
-        psi_lo = psi_hi
-        psi_hi *= 1.5
-        if psi_hi > cap:
-            raise NoSaddleError(
-                f"{f.label}: boundary angle {alpha:.6g} not bracketed below "
-                f"psi = {cap:.6g}")
-    # bisection + secant polish on theta(psi) - alpha (monotone)
-    for _ in range(200):
-        psi_mid = 0.5 * (psi_lo + psi_hi)
-        th = theta_at(psi_mid)
-        if abs(th - alpha) <= theta_tol:
-            return psi_mid
-        if th < alpha:
-            psi_lo = psi_mid
-        else:
-            psi_hi = psi_mid
-        if psi_hi - psi_lo < 1e-17 * max(1.0, psi_hi):
-            break
-    return 0.5 * (psi_lo + psi_hi)
+    tol_resid = rel_tol * (1.0 + abs(log_r))
+    x = u = _ray_root(f, log_r, rel_tol)
+    theta, dt = 0.0, alpha / math.ceil(alpha / 0.25)
+    while theta < alpha:
+        t_next, v = min(alpha, theta + dt), u
+        for _ in range(6):          # Newton in u on the curve at t_next
+            try:
+                phi, dphi = _phi_w(f, complex(v, t_next))
+            except NoSaddleError:
+                break
+            if abs(phi.real - log_r) <= tol_resid:
+                if not dphi.real > 0.0:   # dpsi/dtheta = |Phi'|^2 / Re Phi'
+                    raise NoSaddleError(f"{f.label}: the level curve of "
+                                        f"log_r = {log_r:.6g} folds")
+                theta, u = t_next, v
+                break
+            if not 0.0 < dphi.real < math.inf:
+                break
+            v -= (phi.real - log_r) / dphi.real
+        if theta < t_next:
+            dt *= 0.5
+            if dt < 1e-9 * alpha:
+                raise NoSaddleError(f"{f.label}: the level curve of log_r = "
+                                    f"{log_r:.6g} ends at theta = {theta:.6g}")
+    psi = phi.imag
+    sol = _continue(f, x, complex(log_r, psi), rel_tol)
+    if sol is None or not abs(sol.theta_z - alpha) <= 1e-8:
+        raise NoSaddleError(f"{f.label}: the saddle of psi = {psi:.6g} at "
+                            f"log_r = {log_r:.6g} is not at alpha")
+    return psi
 
 
 def point_with_saddle_radius(f: AdmissibleFunction, rho_star: float,
@@ -349,11 +349,8 @@ def point_with_saddle_radius(f: AdmissibleFunction, rho_star: float,
     def im_phi(theta):
         return complex(f.dlog_gamma(rho_star * cmath.exp(1j * theta))).imag
 
-    if psi_sign_ray > 0 and im_phi(hi) < psi_sign_ray:
-        raise NoSaddleError(
-            f"rho* = {rho_star:.6g}: no saddle angle in the sector reaches "
-            f"psi = {psi_sign_ray:.6g}")
-    if psi_sign_ray < 0 and im_phi(lo) > psi_sign_ray:
+    if (im_phi(hi) < psi_sign_ray) if psi_sign_ray > 0 else \
+            (im_phi(lo) > psi_sign_ray):
         raise NoSaddleError(
             f"rho* = {rho_star:.6g}: no saddle angle in the sector reaches "
             f"psi = {psi_sign_ray:.6g}")

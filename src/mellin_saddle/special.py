@@ -39,23 +39,28 @@ def _trigamma_asymptotic(z):
 def trigamma(z):
     """psi'(z) for real or complex z (vectorized).
 
-    Accurate to ~1e-14 relative away from the poles at 0, -1, -2, ...
+    Accurate to ~1e-14 relative away from the poles at 0, -1, -2, ...,
+    and inf at them.
     """
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
     out = np.empty_like(z)
+    pole = z.real <= 0.0
+    if pole.any():
+        pole &= (z.imag == 0.0) & (z.real == np.round(z.real))
+        out[pole] = complex(np.inf, 0.0)
 
     # Far-left strip near the cut: reflect to Re >= 1.  The sin term is
     # computable as long as |Im| stays moderate; its argument is reduced
     # by an even integer first (exactly), so pi*z loses no digits to a
     # large Re z.
-    refl = (z.real < -_ASYMPT_RE) & (np.abs(z.imag) < 50.0)
+    refl = (z.real < -_ASYMPT_RE) & (np.abs(z.imag) < 50.0) & ~pole
     if np.any(refl):
         zr = z[refl]
         s = np.sin(np.pi * (zr - 2.0 * np.round(0.5 * zr.real)))
         out[refl] = (np.pi / s) ** 2 - trigamma(1.0 - zr)
-    work = ~refl
+    work = ~(refl | pole)
 
     # Recurrence psi'(z) = sum_{k<n} 1/(z+k)^2 + psi'(z+n), each point
     # shifted by its own n = ceil(10 - Re z) steps so that the series is

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PowerOverflowError
+from .errors import PowerOverflowError, SpecError
 
 # exp() overflows double just above this exponent
 _EXP_OVERFLOW = 709.0
@@ -27,12 +27,12 @@ class LogSurfacePoint:
 
     def __post_init__(self):
         if not (math.isfinite(self.log_r) and math.isfinite(self.psi)):
-            raise ValueError(f"surface point must be finite, got {self}")
+            raise SpecError(f"surface point must be finite, got {self}")
 
     @classmethod
     def from_polar(cls, r: float, psi: float = 0.0) -> "LogSurfacePoint":
         if r <= 0:
-            raise ValueError(f"modulus must be positive, got {r}")
+            raise SpecError(f"modulus must be positive, got {r}")
         return cls(math.log(r), psi)
 
     @classmethod
@@ -40,7 +40,7 @@ class LogSurfacePoint:
         """Principal-sheet point for a nonzero plane number."""
         z = complex(z)
         if z == 0:
-            raise ValueError("z = 0 is not on the surface")
+            raise SpecError("z = 0 is not on the surface")
         return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @property
@@ -89,9 +89,9 @@ class Tolerances:
 
     def __post_init__(self):
         if not (0 < self.rel_tol < 1):
-            raise ValueError(f"rel_tol must be in (0,1), got {self.rel_tol}")
+            raise SpecError(f"rel_tol must be in (0,1), got {self.rel_tol}")
         if self.abs_tol <= 0 or self.max_nodes <= 0 or self.truncation_drop <= 0:
-            raise ValueError(f"tolerances must be strictly positive: {self}")
+            raise SpecError(f"tolerances must be strictly positive: {self}")
 
     @classmethod
     def for_quadrature(cls, **kw) -> "Tolerances":

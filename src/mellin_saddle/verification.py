@@ -18,7 +18,7 @@ import numpy as np
 
 from .asymptotics import E_asymptotic, K_asymptotic
 from .catalog import AdmissibleFunction, SlowlyVaryingEll, build_theorem3
-from .errors import MellinSaddleError
+from .errors import MellinSaddleError, SpecError
 from .saddle import point_with_saddle_radius
 from .surface import LogSurfacePoint, Tolerances
 from .transforms import ContourSpec, eval_growth_sum, eval_K, moment
@@ -88,7 +88,7 @@ def verify_moments(f: AdmissibleFunction, n_max: int = 10, *,
                    tol: Optional[Tolerances] = None) -> VerificationReport:
     """moment(f, n) against gamma(n+1) for n = 0..n_max."""
     if n_max > 15:
-        raise ValueError("moment orders above 15 exceed quadrature conditioning")
+        raise SpecError("moment orders above 15 exceed quadrature conditioning")
     rep = VerificationReport(f"moments[{f.label}]", tolerance)
     for n in range(n_max + 1):
         want = float(np.exp(np.real(f.log_gamma(np.complex128(n + 1.0)))))
@@ -142,7 +142,7 @@ def verify_carleman(f: AdmissibleFunction, n_terms: int = 100_000, *,
     decidable.
     """
     if n_terms < 1000:
-        raise ValueError("need at least 1e3 terms for the ladder")
+        raise SpecError("need at least 1e3 terms for the ladder")
     rep = VerificationReport(f"carleman[{f.label}]", growth_min)
     rep.notes.append("divergence evidence, not proof")
     marks = [n_terms // 8, n_terms // 4, n_terms // 2, n_terms]
@@ -193,7 +193,7 @@ def verify_theorem3_limits(ell: SlowlyVaryingEll,
         rho_ladder = np.geomspace(1e2, 1e6, 5)
     rho_ladder = np.asarray(sorted(float(r) for r in rho_ladder))
     if rho_ladder[-1] < 1e6:
-        raise ValueError("ladder must reach 1e6 for a meaningful trend")
+        raise SpecError("ladder must reach 1e6 for a meaningful trend")
     f = build_theorem3(ell)
     rep = VerificationReport(f"theorem3-limits[{ell.label}, c={ell.c:g}]",
                              tolerance)
@@ -241,7 +241,7 @@ def scan_ratio(f: AdmissibleFunction, which: str, ray_psi: float,
     zero (the factorial prototype does, near rho* = 40).
     """
     if which not in ("K", "E"):
-        raise ValueError("which must be 'K' or 'E'")
+        raise SpecError("which must be 'K' or 'E'")
     rep = VerificationReport(f"scan-{which}[{f.label}, psi={ray_psi:g}]",
                              final_max)
     devs = []

@@ -97,6 +97,19 @@ def test_spec_error_exit_2(capsys):
     assert "spec error" in err and "nope" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("boundary", "--at", "r=10", "--alpha", "3.2"),
+    ("eval-K", "--at", "r=10", "--tol", "2"),
+    ("verify", "moments", "--n-max", "20"),
+    ("verify", "carleman", "--n-terms", "10"),
+    ("eval-K", "--at", "r=inf"),
+])
+def test_bad_argument_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--spec", GAMMA)
+    assert code == 2
+    assert "spec error:" in err
+
+
 def test_numerical_error_exit_3(capsys):
     # vertical route on a sheet where it cannot decay
     code, out, err = run_cli(capsys, "eval-K", "--spec", GAMMA,

@@ -13,9 +13,9 @@ BASE = [
 ]
 
 
-def _compare(tmp_path, lines_b):
+def _compare(tmp_path, lines_b, lines_a=BASE):
     a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-    a.write_text("\n".join(BASE) + "\n")
+    a.write_text("\n".join(lines_a) + "\n")
     b.write_text("\n".join(lines_b) + "\n")
     return subprocess.run([sys.executable, str(TOOL), "compare", str(a), str(b)],
                           capture_output=True, text=True, timeout=60)
@@ -46,3 +46,25 @@ def test_each_finding_fails(tmp_path, line_b, finding):
     out = _compare(tmp_path, lines_b)
     assert out.returncode == 1, out.stdout + out.stderr
     assert finding in out.stdout
+
+
+SADDLE = [
+    "solve gamma_shift0 r=2 psi=1\t((1.5687684666265083+1.7003051756329843j), "
+    "0.8256131621002049, 17)",
+    "solve iterated_log r=5 psi=1\t'no_saddle(alpha=-, rho0=1995.26)'",
+    "boundary_psi gamma_shift0 r=5 alpha=0.5\t0.5465228487487633",
+]
+
+
+def test_saddle_lines_move_and_raise(tmp_path):
+    # the saddle lines carry no bar: a move is reported, not a finding
+    moved = SADDLE[:2] + [SADDLE[2].replace("0.5465228487487633",
+                                            "0.5465228587487633")]
+    out = _compare(tmp_path, moved, SADDLE)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "boundary_psi" in out.stdout and "1.83e-08" in out.stdout
+    raised = [SADDLE[0].split("\t")[0] + "\tNoSaddleError: no bracket"] \
+        + SADDLE[1:]
+    out = _compare(tmp_path, raised, SADDLE)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "raise/return: solve gamma_shift0" in out.stdout

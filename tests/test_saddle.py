@@ -8,6 +8,7 @@ import scipy.special as sp
 from mellin_saddle import (LogSurfacePoint, NoSaddleError, boundary_psi,
                            classify, exp_scale, point_with_saddle_radius,
                            solve, solve_real)
+from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
 
 
@@ -245,3 +246,51 @@ def test_classify_splits_at_boundary_curve(iterlog):
     outside = LogSurfacePoint(log_r, 1.02 * psi_star)
     assert classify(iterlog, inside, math.pi / 2).kind == "inside"
     assert classify(iterlog, outside, math.pi / 2).kind == "outside"
+
+
+# three radii per weight inside the benchmark's boundary ranges, plus
+# log r = 3000 on the factorial weights (saddle radius past 1e290)
+_BOUNDARY_LOG_R = {"gamma0": (1.0, 30.0, 700.0, 3000.0),
+                   "gamma1": (1.0, 30.0, 700.0, 3000.0),
+                   "iterlog": (0.5, 2.0, 8.0),
+                   "theorem3_power": (1.0, 5.0, 18.7)}
+
+
+@pytest.mark.parametrize("weight", sorted(_BOUNDARY_LOG_R))
+def test_boundary_psi_lands_on_alpha(request, weight):
+    f = request.getfixturevalue(weight)
+    for log_r in _BOUNDARY_LOG_R[weight]:
+        far = solve_real_log(f, log_r) > math.log(1e290)
+        for alpha in (0.3, 1.0, math.pi / 2, 2.5):
+            z = LogSurfacePoint(log_r, boundary_psi(f, log_r, alpha))
+            sol, _ = solve_log_domain(f, z) if far else solve(f, z)
+            assert abs(sol.theta_z - alpha) <= 1e-8, (log_r, alpha)
+
+
+def test_boundary_psi_cost(gamma0, monkeypatch):
+    # one ray solve, one pass in theta and one confirming continuation
+    calls = []
+    phi_w = saddle._phi_w
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return phi_w(*args, **kw)
+
+    monkeypatch.setattr(saddle, "_phi_w", counted)
+    boundary_psi(gamma0, math.log(25.0), 0.8)
+    assert len(calls) <= 50
+
+
+def test_boundary_psi_exact_where_phi_is(gamma0):
+    # Phi(e^w) = w to the last bit at log r = 3000, so psi = alpha
+    assert abs(boundary_psi(gamma0, 3000.0, 1.0) - 1.0) <= 1e-12
+
+
+def test_boundary_psi_refusals(gamma0, iterlog):
+    # the level curve of log r = 0 folds back near theta = 1.81, short of
+    # 2; at log r = 50, psi on the curve is about 1e-22, below what the
+    # confirming continuation resolves
+    with pytest.raises(NoSaddleError):
+        boundary_psi(gamma0, 0.0, 2.0)
+    with pytest.raises(NoSaddleError):
+        boundary_psi(iterlog, 50.0, 0.5)

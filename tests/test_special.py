@@ -61,3 +61,16 @@ def test_trigamma_vs_mpmath():
         got = trigamma(x)
         assert np.ndim(got) == 0
         assert abs(got - w) <= 1e-14 * abs(w)
+
+
+def test_trigamma_at_poles(gamma0):
+    # inf without a warning (the suite raises RuntimeWarning), both in the
+    # recurrence (Re z >= -10) and in the reflection branch
+    for z in (0.0, -3.0, -12.0, -230.0):
+        d2 = complex(gamma0.d2log_gamma(complex(z)))
+        assert d2.real == np.inf
+    regular = np.array([0.5, 2.0 + 1.0j, -15.5 + 0.1j, 7.3 - 2.0j, -4.5])
+    mixed = np.insert(regular, [0, 2, 4], [0.0, -12.0, -230.0])
+    got = trigamma(mixed)
+    assert np.isinf(got.real).sum() == 3
+    assert got[np.isfinite(got)].tobytes() == trigamma(regular).tobytes()

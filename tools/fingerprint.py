@@ -1,19 +1,25 @@
-"""Fingerprint the evaluators, and compare two fingerprints.
+"""Fingerprint the evaluators and the saddle layer, and compare two
+fingerprints.
 
-A refactor of the evaluators should keep their numbers.  `dump` prints one
-line per call, `<label>\\t<payload>`, where the payload is
-repr((value, abs_error, nodes, log_scale, converged)) of the result or
-`ExceptionClass: message` when the call raises.  The calls are eval_K on
-both routes, eval_E_series, eval_growth_sum and eval_abel_plana_rhs on the
-four benchmark weights at r in {2, 5, 10} and psi in {0, 1, 2.5};
-eval_E_series at 0 for each weight; and moment for n = 1..3 on
-gamma_shift(0) and theorem3: 190 lines in all.
+A refactor should keep the numbers.  `dump` prints one line per call,
+`<label>\t<payload>`, with payload `ExceptionClass: message` when the call
+raises.  The evaluator lines are eval_K on both routes, eval_E_series,
+eval_growth_sum and eval_abel_plana_rhs on the four benchmark weights at r
+in {2, 5, 10} and psi in {0, 1, 2.5}; eval_E_series at 0 for each weight;
+and moment for n = 1..3 on gamma_shift(0) and theorem3: 190 lines, with
+payload repr((value, abs_error, nodes, log_scale, converged)).  The saddle
+lines are solve at the same 36 (weight, r, psi) points, with payload
+repr((s_z, theta_z, iterations)), or repr of the region tag when there is
+no solution; and boundary_psi on the four weights at r in {2, 5, 10} and
+alpha in {0.5, pi/2, 2.5}, with payload repr(psi): 262 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
-raising and returning, a change of exception class, a flipped converged
-flag, and a value that moved outside the sum of both error bars; then, per
-evaluator, the node sums and the counts of changed and byte-identical
-lines, and the largest change of a value relative to its two bars.
+raising and returning and a change of exception class; on the evaluator
+lines also a flipped converged flag and a value that moved outside the
+sum of both error bars.  Then, per evaluator, the node sums and the counts
+of changed and byte-identical lines, and the largest change of a value
+relative to its two bars; per saddle kind, which carries no bar, the
+counts and the largest relative move of a number, which is not a finding.
 
     PYTHONPATH=src python tools/fingerprint.py dump > after.txt
     PYTHONPATH=<other checkout>/src python tools/fingerprint.py dump > before.txt
@@ -25,6 +31,7 @@ fingerprints any checkout.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from collections import defaultdict
 
@@ -42,10 +49,24 @@ RADII = (2.0, 5.0, 10.0)
 PSIS = (0.0, 1.0, 2.5)
 MOMENT_WEIGHTS = ("gamma_shift0", "theorem3")
 MOMENT_ORDERS = (1, 2, 3)
+ALPHAS = (0.5, 0.5 * math.pi, 2.5)
+UNBARRED = ("solve", "boundary_psi")     # saddle kinds: no error bar
+
+
+def _evaluated(res):
+    return repr((res.value, res.abs_error, res.nodes, res.log_scale,
+                 res.converged))
+
+
+def _solved(sol_tag):
+    sol, tag = sol_tag
+    return repr(str(tag)) if sol is None else \
+        repr((sol.s_z, sol.theta_z, sol.iterations))
 
 
 def calls():
-    """(label, thunk) for every fingerprinted call, in a fixed order."""
+    """(label, thunk giving the payload) for every fingerprinted call, in
+    a fixed order."""
     import mellin_saddle as ms
 
     weights = {name: ms.build(ms.FunctionSpec.from_dict(spec))
@@ -65,22 +86,32 @@ def calls():
                 z = ms.LogSurfacePoint(math.log(r), psi)
                 for ev, fn in evaluators.items():
                     out.append((f"{ev} {name} r={r:g} psi={psi:g}",
-                                lambda fn=fn, f=f, z=z: fn(f, z)))
+                                lambda fn=fn, f=f, z=z: _evaluated(fn(f, z))))
         out.append((f"E-at-0 {name}",
-                    lambda f=f: ms.eval_E_series(f, 0)))
+                    lambda f=f: _evaluated(ms.eval_E_series(f, 0))))
     for name in MOMENT_WEIGHTS:
         for n in MOMENT_ORDERS:
-            out.append((f"moment {name} n={n}",
-                        lambda f=weights[name], n=n: ms.moment(f, n)))
+            out.append((f"moment {name} n={n}", lambda f=weights[name], n=n:
+                        _evaluated(ms.moment(f, n))))
+    for name, f in weights.items():
+        for r in RADII:
+            for psi in PSIS:
+                z = ms.LogSurfacePoint(math.log(r), psi)
+                out.append((f"solve {name} r={r:g} psi={psi:g}",
+                            lambda f=f, z=z: _solved(ms.solve(f, z))))
+    for name, f in weights.items():
+        for r in RADII:
+            for alpha in ALPHAS:
+                out.append((f"boundary_psi {name} r={r:g} alpha={alpha:g}",
+                            lambda f=f, r=r, alpha=alpha:
+                            repr(ms.boundary_psi(f, math.log(r), alpha))))
     return out
 
 
 def dump(stream=sys.stdout):
     for label, thunk in calls():
         try:
-            res = thunk()
-            payload = repr((res.value, res.abs_error, res.nodes,
-                            res.log_scale, res.converged))
+            payload = thunk()
         except Exception as exc:      # every outcome is part of the print
             payload = f"{type(exc).__name__}: {exc}"
         print(f"{label}\t{payload}", file=stream, flush=True)
@@ -92,14 +123,17 @@ _NAMES = {"np": np, "inf": math.inf, "nan": math.nan,
           "__builtins__": {}}
 
 
+_RAISED = re.compile(r"[A-Za-z_]\w*: ")
+
+
 def _parse(path):
-    """label -> (payload text, parsed result tuple or None if it raised)."""
+    """label -> (payload text, parsed result or None if it raised)."""
     lines = {}
     with open(path) as fh:
         for line in fh:
             label, text = line.rstrip("\n").split("\t", 1)
-            lines[label] = (text, eval(text, dict(_NAMES))    # our own repr
-                            if text.startswith("(") else None)
+            lines[label] = (text, None if _RAISED.match(text)
+                            else eval(text, dict(_NAMES)))   # our own repr
     return lines
 
 
@@ -110,6 +144,17 @@ def _shift(a, b):
     fa, fb = math.exp(la - ls), math.exp(lb - ls)
     change, bars = abs(va * fa - vb * fb), ea * fa + eb * fb
     return 0.0 if change == 0 else change / bars if bars > 0 else math.inf
+
+
+def _move(a, b):
+    """Largest relative change of a number between two results that carry
+    no bar (counts such as iterations aside); inf when one is a solution
+    and the other a region tag."""
+    a, b = (x if isinstance(x, tuple) else (x,) for x in (a, b))
+    if len(a) != len(b) or any(isinstance(x, str) for x in a + b):
+        return math.inf
+    return max([abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b)
+                if x != y and not isinstance(x, int)], default=0.0)
 
 
 def compare(path_a, path_b, stream=sys.stdout):
@@ -124,12 +169,14 @@ def compare(path_a, path_b, stream=sys.stdout):
     nodes = defaultdict(lambda: [0, 0])
     changed = defaultdict(int)
     same = defaultdict(int)
+    moves = defaultdict(float)
     raised, worst = 0, 0.0
     for label in [k for k in a if k in b]:
         ev = label.split(" ", 1)[0]
         (ta, ra), (tb, rb) = a[label], b[label]
-        nodes[ev][0] += ra[2] if ra else 0
-        nodes[ev][1] += rb[2] if rb else 0
+        if ev not in UNBARRED:
+            nodes[ev][0] += ra[2] if ra else 0
+            nodes[ev][1] += rb[2] if rb else 0
         raised += ra is None and rb is None
         if ta == tb:
             same[ev] += 1
@@ -142,6 +189,8 @@ def compare(path_a, path_b, stream=sys.stdout):
             if ta.split(":", 1)[0] != tb.split(":", 1)[0]:
                 print(f"exception class: {label}: {ta} -> {tb}", file=stream)
                 findings += 1
+        elif ev in UNBARRED:
+            moves[ev] = max(moves[ev], _move(ra, rb))
         else:
             if ra[4] != rb[4]:
                 print(f"flag flip: {label}: {ra[4]} -> {rb[4]}", file=stream)
@@ -152,12 +201,18 @@ def compare(path_a, path_b, stream=sys.stdout):
                 print(f"outside both bars: {label}: {ta} -> {tb}",
                       file=stream)
                 findings += 1
+    kinds = sorted(set(changed) | set(same))
     print(f"{'evaluator':<12}{'nodes A':>12}{'nodes B':>12}"
           f"{'changed':>9}{'same':>6}", file=stream)
-    for ev in sorted(set(nodes) | set(changed) | set(same)):
+    for ev in [k for k in kinds if k not in UNBARRED]:
         print(f"{ev:<12}{nodes[ev][0]:>12,}{nodes[ev][1]:>12,}"
               f"{changed[ev]:>9}{same[ev]:>6}", file=stream)
     print(f"largest change / sum of both bars: {worst:.3g}", file=stream)
+    print(f"{'saddle':<14}{'changed':>9}{'same':>6}  largest relative move",
+          file=stream)
+    for ev in [k for k in kinds if k in UNBARRED]:
+        print(f"{ev:<14}{changed[ev]:>9}{same[ev]:>6}  {moves[ev]:.3g}",
+              file=stream)
     print(f"lines raising on both sides: {raised}; findings: {findings}",
           file=stream)
     return findings
