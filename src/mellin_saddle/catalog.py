@@ -597,18 +597,20 @@ def _positive_type_edges(spec: PositiveTypeSpec):
 def _tail_closed_forms(s, cut, k1, k2, saw, count):
     """Closed-form tails [T1, .., T_count] of I1, I2, I3 for
     m ~ k1/u + k2/u^2 + saw*(frac-1/2)/u^2."""
+    # in powers of t = 1/s, which underflow where powers of s overflow
     lc = np.log1p(s / cut)
     d = 1.0 / (s + cut)
-    g = lc / s
-    h = 1.0 / (s * cut) - lc / s ** 2
+    t = 1.0 / s
+    g = lc * t
+    h = t / cut - lc * t ** 2
     tails = [k1 * g + k2 * h]
     if count >= 2:
-        gp = d / s - lc / s ** 2
-        hp = -1.0 / (s ** 2 * cut) - d / s ** 2 + 2.0 * lc / s ** 3
+        gp = d * t - lc * t ** 2
+        hp = -t ** 2 / cut - d * t ** 2 + 2.0 * lc * t ** 3
         tails.append(-(k1 * gp + k2 * hp))
     if count >= 3:
-        gpp = -d * d / s - 2.0 * d / s ** 2 + 2.0 * lc / s ** 3
-        hpp = 2.0 / (s ** 3 * cut) + d * d / s ** 2 + 4.0 * d / s ** 3 - 6.0 * lc / s ** 4
+        gpp = -d * d * t - 2.0 * d * t ** 2 + 2.0 * lc * t ** 3
+        hpp = 2.0 * t ** 3 / cut + d * d * t ** 2 + 4.0 * d * t ** 3 - 6.0 * lc * t ** 4
         tails.append(0.5 * (k1 * gpp + k2 * hpp))
     if saw != 0.0:
         # Euler-Maclaurin leading term -(1/12) u^{-2} (u+s)^{-m} at u = cut,

@@ -4,11 +4,30 @@ The engine is deliberately small: (G7, K15) pairs, bisection of the worst
 panel by error estimate, a node budget, and a deterministic final
 summation (panels sorted by left endpoint, so a fixed panel set always
 reduces in the same order).  Integrands receive the 15 panel nodes as one
-ndarray call and may return shape (15,) or (15, k) for batched values.
+ndarray call and may return shape (15,) or (15, k) for batched values, or
+a pair (values, noise) whose noise[i] bounds the absolute rounding error
+of values[i].
+
+Each pass checks four stop reasons, in this order:
+
+- "tolerance": the summed Kronrod-Gauss differences fall within
+  max(abs_tol, rel_tol * |value|);
+- "non_finite": the running value or that sum is not finite;
+- "floor": that sum falls to the declared rounding floor, the
+  Kronrod-weighted noise summed over the panels, where more nodes
+  cannot help (QUADPACK's roundoff stop, ier = 2);
+- "budget": the node budget or the supply of splittable panels runs out.
+
+"non_finite" and "floor" apply only to an integrand that declares its
+noise.  One that returns plain values has a floor of 0 and refines past
+a non-finite value until "budget", as the engine always did for it.
+The returned bar is the summed differences plus 10*eps*int|f|, plus the
+floor on a "floor" stop.
 """
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,33 +64,41 @@ class PanelResult:
     value: object          # complex or (k,) ndarray
     abs_error: float
     nodes: int
-    converged: bool        # the stop rule was met within the budget
+    stop: str              # "tolerance", "non_finite", "floor" or "budget"
+
+    @property
+    def converged(self) -> bool:
+        """The tolerance was met within the budget."""
+        return self.stop == "tolerance"
 
 
 def _panel(f, a, b):
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * _XK
-    y = np.asarray(f(x))
+    y = f(x)
+    floor = None       # no noise declared
+    if isinstance(y, tuple):
+        y, noise = y
+        floor = half * float(np.max(_WK @ noise))
+    y = np.asarray(y)
     ik = half * (_WK @ y)
     ig = half * (_WG @ y[_GAUSS_IDX])
     absint = half * float(np.max(_WK @ np.abs(y)))
     err = float(np.max(np.abs(ik - ig)))
-    return ik, err, absint
+    return ik, err, absint, floor
 
 
 def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
                        max_nodes=200_000, breakpoints=()) -> PanelResult:
     """Integrate f over [a, b] with adaptive (G7, K15) bisection.
 
-    breakpoints seeds extra panel edges (kinks, known peaks).  Refinement
-    stops once the summed Kronrod-Gauss differences fall within
-    max(abs_tol, rel_tol * |value|).  converged is True when that stop
-    rule was met, and False when the node budget ran out (or no panel
-    could be split further) first.  The returned abs_error adds the
-    roundoff floor 10*eps*int|f| to those differences, so it may exceed
-    the stop rule's target even when converged is True: whether a result
-    meets the caller's tolerance is decided from abs_error, not from
-    this flag.  The final value is re-summed in left-to-right panel
+    breakpoints seeds extra panel edges (kinks, known peaks).  stop names
+    the first of the module's four stop reasons that held; converged is
+    stop == "tolerance".  The returned abs_error adds 10*eps*int|f| (and
+    on a "floor" stop the declared floor) to the summed differences, so
+    it may exceed the tolerance even when converged is True: whether a
+    result meets the caller's tolerance is decided from abs_error, not
+    from this flag.  The final value is re-summed in left-to-right panel
     order, so a fixed panel set reduces deterministically.
     """
     edges = sorted({float(a), float(b), *(float(t) for t in breakpoints
@@ -81,15 +108,20 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
     counter = 0
     nodes = 0
     err_total = 0.0
+    floor_total = 0.0
+    declared = False   # the integrand returns (values, noise)
     value_total = None
 
     def add_panel(lo, hi, refinable=True):
-        nonlocal counter, nodes, err_total, value_total
-        ik, err, absint = _panel(f, lo, hi)
+        nonlocal counter, nodes, err_total, floor_total, declared, value_total
+        ik, err, absint, floor = _panel(f, lo, hi)
         nodes += 15
         err_total += err
+        declared = floor is not None
+        floor = floor or 0.0
+        floor_total += floor
         value_total = ik if value_total is None else value_total + ik
-        entry = (lo, hi, ik, err, absint)
+        entry = (lo, hi, ik, err, absint, floor)
         if refinable and (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
             heapq.heappush(heap, (-err, counter, entry))
         else:
@@ -99,23 +131,29 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
     for lo, hi in zip(edges[:-1], edges[1:]):
         add_panel(lo, hi)
 
-    def finish(converged):
+    def finish(stop):
         entries = sorted(done + [e for _, _, e in heap], key=lambda e: e[0])
         total = entries[0][2]
         for e in entries[1:]:
             total = total + e[2]
-        err = sum(e[3] for e in entries)
-        absint = sum(e[4] for e in entries)
-        return PanelResult(total, err + 10.0 * _EPS * absint, nodes, converged)
+        err = sum(e[3] for e in entries) + 10.0 * _EPS * sum(e[4] for e in entries)
+        if stop == "floor":
+            err += sum(e[5] for e in entries)
+        return PanelResult(total, err, nodes, stop)
 
     while True:
         scale = float(np.max(np.abs(value_total)))
         if err_total <= max(abs_tol, rel_tol * scale):
-            return finish(True)
+            return finish("tolerance")
+        if declared and not (math.isfinite(scale) and math.isfinite(err_total)):
+            return finish("non_finite")
+        if declared and err_total <= floor_total:
+            return finish("floor")
         if nodes + 30 > max_nodes or not heap:
-            return finish(False)
-        _, _, (lo, hi, ik, err, absint) = heapq.heappop(heap)
+            return finish("budget")
+        _, _, (lo, hi, ik, err, absint, floor) = heapq.heappop(heap)
         err_total -= err
+        floor_total -= floor
         value_total = value_total - ik
         mid = 0.5 * (lo + hi)
         add_panel(lo, mid)

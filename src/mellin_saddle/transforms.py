@@ -39,6 +39,7 @@ from .saddle import solve_real
 from .surface import LogSurfacePoint, QuadratureResult, Tolerances
 
 _FOLD_LIMIT = 300.0   # keep log_scale = 0 while |log magnitude| stays below
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -145,10 +146,20 @@ def _path_integral(g, tols: Tolerances, lo: float, t0: float, hi: float,
             seeds += [peak_t] + [peak_t + side * w for w in
                                  _geometric_seeds(width, abs(end - peak_t))]
         scale = max(seen.values())
-        res = adaptive_integrate(
-            lambda t: np.exp(g(t) - scale).sum(axis=1), *ends,
-            rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
-            max_nodes=tols.max_nodes, breakpoints=seeds)
+
+        def integrand(t):
+            e = g(t)
+            x = np.exp(e - scale)
+            # each term carries ~eps * (4 + |g|) relative rounding, as in
+            # the series; a non-finite term is either a zero at a pole of
+            # gamma (g = -inf) or spoils the value, which the engine stops on
+            noise = np.abs(x) * (4.0 + np.abs(e))
+            noise = np.where(np.isfinite(noise), noise, 0.0).sum(axis=1)
+            return x.sum(axis=1), _EPS * noise
+
+        res = adaptive_integrate(integrand, *ends, rel_tol=tols.rel_tol,
+                                 abs_tol=tols.abs_tol,
+                                 max_nodes=tols.max_nodes, breakpoints=seeds)
     return _fold(complex(res.value), res.abs_error, res.nodes, tols, scale)
 
 
@@ -234,7 +245,7 @@ def _series_sum(f: AdmissibleFunction, z: LogSurfacePoint, offset: int,
     if extra_term != 0.0:
         total += extra_term * math.exp(-m)
         err_sum += 4.0 * abs(extra_term) * math.exp(-m)
-    err = np.finfo(float).eps * err_sum + 31.0 * tols.truncation_drop
+    err = _EPS * err_sum + 31.0 * tols.truncation_drop
     return _fold(total, err, ns.size, tols, m)
 
 

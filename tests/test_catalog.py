@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -218,6 +219,21 @@ def test_jump_measure_matches_iterated_log():
     want = direct.log_gamma(sig + 0j)
     assert np.max(np.abs(got - want) / np.abs(want)) < 2e-4
     assert pt.positive_type and not pt.degenerate
+
+
+def test_factorial_measure_tails_quiet_at_large_radius(factorial_measure):
+    # the tail completions once formed s**3 and s**4, which overflow at
+    # the saddle of log r = 240 (|s| ~ 1e104)
+    from mellin_saddle import MellinSaddleError
+    from mellin_saddle.saddle import boundary_psi, solve_real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve_real(factorial_measure, 240.0),
+                     lambda: boundary_psi(factorial_measure, 400.0, 1.0)):
+            try:
+                call()
+            except MellinSaddleError:
+                pass
 
 
 def test_degenerate_measure_flagged():

@@ -9,7 +9,7 @@ from mellin_saddle.quadrature import adaptive_integrate, scan_drop
 def test_polynomial_exact():
     res = adaptive_integrate(lambda x: x**3 - 2 * x + 1, 0.0, 2.0)
     assert res.value == pytest.approx(2.0, abs=1e-13)
-    assert res.converged
+    assert res.converged and res.stop == "tolerance"
 
 
 def test_oscillatory_complex():
@@ -49,6 +49,36 @@ def test_budget_exhaustion_flagged():
     f = lambda x: np.sin(1.0 / (x + 1e-6)) / (x + 1e-6)
     res = adaptive_integrate(f, 0.0, 1.0, rel_tol=1e-14, max_nodes=600)
     assert not res.converged
+    assert res.stop == "budget"
+
+
+def test_floor_stop_on_declared_noise():
+    # a ripple of relative size 1e-9, declared as noise, keeps the
+    # Kronrod-Gauss differences above rel_tol 1e-13 at any resolution;
+    # undeclared, the same integrand runs the whole budget
+    def f(x):
+        base = np.exp(-x * x)
+        return base * (1.0 + 1e-9 * np.sin(1e6 * x)), 1e-9 * base
+
+    res = adaptive_integrate(f, -20.0, 20.0, rel_tol=1e-13,
+                             breakpoints=[-1.0, 0.0, 1.0])
+    assert res.stop == "floor" and not res.converged
+    assert res.nodes <= 5_000
+    assert abs(complex(res.value) - math.sqrt(math.pi)) <= res.abs_error
+
+
+def test_non_finite_stop_after_seed_panels():
+    def f(x):
+        y = np.where(x > 0.5, np.nan, np.exp(x))
+        return y, 1e-16 * np.abs(y)
+
+    res = adaptive_integrate(f, 0.0, 1.0, breakpoints=[0.25, 0.75])
+    assert res.stop == "non_finite" and not res.converged
+    assert res.nodes == 3 * 15
+    # without declared noise the engine refines on, as it always did
+    plain = adaptive_integrate(lambda x: f(x)[0], 0.0, 1.0, max_nodes=600,
+                               breakpoints=[0.25, 0.75])
+    assert plain.stop == "budget"
 
 
 def test_error_estimate_honest_on_smooth():

@@ -239,6 +239,43 @@ def test_abel_plana_rejects_bad_inputs(gamma0):
         eval_abel_plana_rhs(gamma0, LogSurfacePoint(1.0, 0.0), sigma0=1.5)
 
 
+def _count_engine_nodes(monkeypatch):
+    from mellin_saddle import transforms
+    nodes = [0]
+    engine = transforms.adaptive_integrate
+
+    def counted(*args, **kw):
+        res = engine(*args, **kw)
+        nodes[0] += res.nodes
+        return res
+
+    monkeypatch.setattr(transforms, "adaptive_integrate", counted)
+    return nodes
+
+
+def test_abel_plana_stops_at_rounding_floor(gamma0, monkeypatch):
+    # z e^z sits far below the main integral's mass here, so rel_tol 1e-8
+    # is out of reach; the engine stops at the integrand's declared floor
+    # instead of spending its 200k-node budget
+    nodes = _count_engine_nodes(monkeypatch)
+    z = LogSurfacePoint(math.log(10.0), 2.5)
+    res = eval_abel_plana_rhs(gamma0, z)
+    assert not res.converged
+    assert res.nodes == nodes[0] <= 10_000
+    zc = cmath.exp(z.log_z)
+    assert abs(_val(res) - zc * cmath.exp(zc)) <= res.abs_error * math.exp(res.log_scale)
+
+
+def test_K_refuses_nan_integrand_early(iterlog, monkeypatch):
+    # the ray integrand turns NaN here; the engine stops at once and
+    # _fold refuses the non-finite value
+    nodes = _count_engine_nodes(monkeypatch)
+    z = LogSurfacePoint(math.log(14.590084314818244), 0.3152716825365438)
+    with pytest.raises(QuadratureError):
+        eval_K(iterlog, z)
+    assert 0 < nodes[0] <= 2_000
+
+
 # ---------------------------------------------------------------------------
 # moments
 # ---------------------------------------------------------------------------
