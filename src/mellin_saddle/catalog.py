@@ -60,7 +60,8 @@ def _iterated_log_jet(j: Jet2, k: int) -> Jet2:
 class AdmissibleFunction:
     """Evaluatable weight bundle: log gamma jet plus domain metadata.
 
-    Immutable after construction (caches fill lazily but deterministically),
+    Immutable after construction (caches fill lazily but deterministically,
+    the saddle layer's memo of ray roots and continuations among them),
     so instances can be shared freely across threads.
     """
 
@@ -84,6 +85,7 @@ class AdmissibleFunction:
         self._one_over_gamma0 = None
         self._rho0 = None
         self._eps_probe = None
+        self._saddle_memo = {}      # saddle._memoized: call -> result
 
     # -- evaluation ---------------------------------------------------------
 

@@ -6,11 +6,15 @@ family's asymptotic form past that.  Phi is strictly increasing on the
 positive ray and univalent in the sector S(alpha, rho0) for rho0 large
 enough, so a saddle is found in two stages:
 
-* the ray root x = log rho of Phi(e^x) = log r, by bracketing and
-  safeguarded Newton in x;
+* the ray root x = log rho of Phi(e^x) = log r, by a bracket whose step
+  in x doubles at every evaluation and safeguarded Newton in x;
 * a Newton continuation in w from x toward log z = log r + i psi, with
   theta_z = Im w.  If theta_z reaches the sector edge before psi is
   reached, the point has no saddle there and is tagged accordingly.
+
+Both stages are memoized per weight: solve, classify and the asymptotics
+at one point share one ray root and one continuation, and a repeat
+returns the stored result without evaluating Phi.
 
 solve_real and solve refuse saddle radii past 1e290; solve_real_log and
 solve_log_domain reach them (log_rho_z holds the radius, rho_z is inf).
@@ -20,6 +24,7 @@ curve Re Phi(e^w) = log r and keeps psi = Im Phi if psi's saddle is there.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -33,6 +38,9 @@ from .surface import LogSurfacePoint, Tolerances
 _EDGE_DELTA = 0.02          # sector-edge margin alpha0 - delta for continuation
 _LOG_RHO_MAX = math.log(1e290)    # solve_real and solve stay in double range
 _LOG_RHO_MIN = math.log(1e-280)   # e^w below this is not evaluated
+_JET_CAP = math.nextafter(_JET_LOG_RADIUS, 0.0)  # last x a jet-only Phi reaches
+_MEMO_SIZE = 1024           # per-weight memo entries; the memo clears when full
+_MISSING = object()
 
 
 @dataclass(frozen=True)
@@ -76,26 +84,47 @@ def _phi_w(f: AdmissibleFunction, w: complex,
     return complex(phi), complex(dphi) if order >= 2 else None
 
 
+def _memoized(fn):
+    """fn(f, *args), stored in the weight's memo under (name, *args).
+
+    fn must be a pure function of its arguments.  A repeat returns the
+    stored result (None included) without evaluating Phi; an exception is
+    not stored.  The memo is read with get and written after computing,
+    so a concurrent clear cannot make a lookup raise.
+    """
+    @functools.wraps(fn)
+    def memo_fn(f: AdmissibleFunction, *args):
+        key = (fn.__name__,) + args
+        memo = f._saddle_memo
+        out = memo.get(key, _MISSING)
+        if out is _MISSING:
+            out = fn(f, *args)
+            if len(memo) >= _MEMO_SIZE:
+                memo.clear()
+            memo[key] = out
+        return out
+    return memo_fn
+
+
+@_memoized
 def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
     """x = log rho with Phi(e^x) = target on the positive ray.
 
-    The bracket steps rho by x3 upward or x1/4 downward while |x| < 300,
-    and doubles its step in x past that; safeguarded Newton in x follows.
+    The bracket steps x from its start by log 3 upward or log 1/4
+    downward and doubles the step at every evaluation; for a weight
+    without a log-domain Phi an upward step stops just below the jet's
+    cut, so a root short of it is not skipped.  Safeguarded Newton in x
+    follows.  Memoized per weight.
     """
-    rho = max(1.0, 1.5 * f.c_gamma + 0.5)
-    x0 = x = math.log(rho)
+    x0 = x = math.log(max(1.0, 1.5 * f.c_gamma + 0.5))
     g_prev = _phi_w(f, x0, 1)[0].real
     up = g_prev < target
-    factor = 3.0 if up else 0.25
-    step = math.log(factor)
+    step = math.log(3.0 if up else 0.25)
+    cap = math.inf if f.has_log_domain else _JET_CAP
     stalls = 0
     for _ in range(400):
-        if abs(x) < _JET_LOG_RADIUS:
-            rho *= factor
-            x = math.log(rho)
-        else:
-            step *= 2.0
-            x += step
+        x = min(x + step, cap) if x < cap else x + step
+        step *= 2.0
         g = _phi_w(f, x, 1)[0].real
         if (g >= target) if up else (g <= target):
             break
@@ -158,6 +187,7 @@ def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
     return None
 
 
+@_memoized
 def _continue(f: AdmissibleFunction, x: float, log_z: complex,
               rel_tol: float) -> Optional[SaddleSolution]:
     """Continue the ray root x to the saddle of log_z = log r + i psi.
@@ -165,7 +195,7 @@ def _continue(f: AdmissibleFunction, x: float, log_z: complex,
     Steps of psi start near 0.25 |dPhi/dw| (theta_z then moves about
     0.25 rad per step); a step is accepted when Newton converges, and dt
     halves when it took more than 5 evaluations or failed.  None when
-    theta_z reaches the sector edge first.
+    theta_z reaches the sector edge first.  Memoized per weight.
     """
     psi = log_z.imag
     edge = f.alpha0 - _EDGE_DELTA

@@ -1,13 +1,17 @@
 import cmath
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.special as sp
 
-from mellin_saddle import (LogSurfacePoint, NoSaddleError, boundary_psi,
-                           classify, exp_scale, point_with_saddle_radius,
-                           solve, solve_real)
+from mellin_saddle import (E_asymptotic, K_asymptotic, LogSurfacePoint,
+                           NoSaddleError, boundary_psi, build_theorem3,
+                           classify, ell_power, exp_scale, gamma_shift,
+                           iterated_log, point_with_saddle_radius, solve,
+                           solve_real)
 from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
 
@@ -294,3 +298,104 @@ def test_boundary_psi_refusals(gamma0, iterlog):
         boundary_psi(gamma0, 0.0, 2.0)
     with pytest.raises(NoSaddleError):
         boundary_psi(iterlog, 50.0, 0.5)
+
+
+def _count_phi(monkeypatch):
+    """Record every Phi evaluation of the saddle layer."""
+    calls = []
+    phi_w = saddle._phi_w
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return phi_w(*args, **kw)
+
+    monkeypatch.setattr(saddle, "_phi_w", counted)
+    return calls
+
+
+def test_one_saddle_solve_per_point(monkeypatch):
+    # solve, classify and both asymptotics share one ray root and one
+    # continuation: only the first call evaluates Phi
+    f = gamma_shift(0.0)               # fresh weight, empty memo
+    z = LogSurfacePoint(math.log(40.0), 1.0)
+    calls = _count_phi(monkeypatch)
+    sol, tag = solve(f, z)
+    assert tag.kind == "inside" and len(calls) > 0
+    first = len(calls)
+    assert classify(f, z, math.pi / 2).kind == "inside"
+    E_asymptotic(f, z)
+    K_asymptotic(f, z)
+    assert solve(f, z) == (sol, tag)
+    assert len(calls) == first
+
+
+def test_solve_independent_of_history():
+    # a weight that served every evaluator call of the fingerprint solves
+    # exactly like a freshly built one
+    path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    fp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fp)
+
+    def solves(calls):
+        return [(label, thunk()) for label, thunk in calls
+                if label.startswith("solve ")]
+
+    fresh = solves(fp.calls())
+    served = fp.calls()
+    for label, thunk in served:
+        if not label.startswith(("solve ", "boundary_psi ")):
+            try:
+                thunk()
+            except Exception:       # the raising lines are part of the history
+                pass
+    assert solves(served) == fresh
+
+
+def test_memo_stays_within_its_bound(monkeypatch):
+    monkeypatch.setattr(saddle, "_MEMO_SIZE", 8)
+    f = gamma_shift(0.0)
+    for k in range(20):
+        solve(f, LogSurfacePoint(2.0 + 0.1 * k, 0.5))
+        assert 0 < len(f._saddle_memo) <= 8
+
+
+def test_ray_bracket_doubles_its_step(monkeypatch):
+    # iterated_log's root at log r = 10 is rho = e^22025: the doubling
+    # bracket reaches it in a few steps, where x3 steps in rho took 293
+    f = iterated_log(1.0, 1.0, 1, math.e)
+    calls = _count_phi(monkeypatch)
+    assert solve_real_log(f, 10.0) == pytest.approx(22025.4657721, rel=1e-9)
+    assert len(calls) <= 30
+
+
+def test_ray_root_far_past_the_jet():
+    f = iterated_log(1.0, 1.0, 1, math.e)
+    lam = solve_real_log(f, 100.0)
+    assert lam == pytest.approx(2.688117e43, rel=1e-6)
+    p, _ = f.phi_log(np.array([complex(lam)]))
+    assert complex(p[0]).real == pytest.approx(100.0, abs=1e-8)
+
+
+def test_ray_bracket_stops_at_the_jet_cut():
+    # Phi = digamma + 1/2 is known only from the jet: the root near
+    # x = 290 lies past the bracket's x = 280 and short of its next step
+    f = exp_scale(gamma_shift(0.0), 0.5)
+    assert solve_real_log(f, 290.5) == pytest.approx(290.0, abs=1e-9)
+
+
+# Reference angles from a 20,000-step continuation, which stays inside
+# the sector edge 3.1216 all the way.
+_NEARBY_ROOTS = [(15.42, 6.78, 3.10196426), (7.48, -5.09, -3.09466542),
+                 (6.91, 6.08, 3.10044018)]
+
+
+@pytest.mark.xfail(strict=True, reason="_continue accepts a Newton step that "
+                   "jumped to a second root past the edge: see the FOUND line "
+                   "on _continue in CHANGES.md")
+@pytest.mark.parametrize("log_r, psi, theta", _NEARBY_ROOTS)
+def test_continue_keeps_the_nearby_root(log_r, psi, theta):
+    f = build_theorem3(ell_power(1.0, 1.0))
+    sol, _ = solve(f, LogSurfacePoint(log_r, psi))
+    assert sol is not None
+    assert sol.theta_z == pytest.approx(theta, abs=1e-6)
