@@ -22,9 +22,9 @@ import numpy as np
 
 from .catalog import AdmissibleFunction
 from .errors import QuadratureError, RegionError
-from .quadrature import adaptive_integrate
 from .saddle import RegionTag, SaddleSolution, solve
 from .surface import LogSurfacePoint, Tolerances
+from .transforms import _path_integral
 
 _SCALE_LIMIT = 300.0
 
@@ -133,7 +133,8 @@ def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint, *,
     """Integral of e^{G(z, s)} over the steepest-descent chord through the
     saddle: s = s_z + i t e^{i theta_z / 2}, |t| <= rho_z^{1 - delta1}.
 
-    Rescaled internally by e^{G(z, s_z)}; compare against
+    One transforms._path_integral with finite ends, seeded from the saddle
+    at the Gaussian width 1/sqrt|Phi'(s_z)|; compare against
     local_gaussian_reference.
     """
     tols = tol or Tolerances.for_quadrature()
@@ -142,23 +143,19 @@ def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint, *,
         raise RegionError(f"local saddle integral needs an interior saddle at {z}")
     half_len = sol.rho_z ** (1.0 - delta1)
     direction = 1j * cmath.exp(0.5j * sol.theta_z)
-    g_saddle = complex(f.log_gamma(np.complex128(sol.s_z))) - sol.s_z * z.log_z
 
-    def integrand(t):
-        s = sol.s_z + np.asarray(t, dtype=float) * direction
-        g = f.log_gamma(s) - s * z.log_z
-        return np.exp(g - g_saddle)
+    def g(t):
+        s = sol.s_z + t * direction
+        return (f.log_gamma(s) - s * z.log_z)[:, None]
 
-    seeds = np.linspace(-half_len, half_len, 17)[1:-1]
-    res = adaptive_integrate(integrand, -half_len, half_len,
-                             rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
-                             max_nodes=tols.max_nodes, breakpoints=seeds)
-    total = complex(res.value) * direction
-    if abs(g_saddle.real) > 600.0:
+    width = 1.0 / math.sqrt(abs(complex(f.d2log_gamma(np.complex128(sol.s_z)))))
+    res = _path_integral(g, tols, -half_len, 0.0, half_len, width,
+                         f"local saddle chord at {z}")
+    if abs(res.log_scale) > 600.0:
         raise QuadratureError(
-            f"local saddle integral magnitude e^{g_saddle.real:.3g} leaves the "
+            f"local saddle integral magnitude e^{res.log_scale:.3g} leaves the "
             "double range; compare scaled quantities instead")
-    return total * cmath.exp(g_saddle)
+    return res.value * math.exp(res.log_scale) * direction
 
 
 def duality_product(f: AdmissibleFunction, z: LogSurfacePoint) -> complex:

@@ -488,6 +488,22 @@ def _cauchy_sums(s, u, w, count):
     return sums
 
 
+def _cauchy_jet(s, q, i, order, ab=None):
+    """Jet of log gamma = (A + B s +) q^2 I1 at s, from the flat Cauchy
+    sums i = [I1, .., I_{order+1}] of the kernel 1/(s+u); ab = (A, B) is
+    added only when given, so q^2 I1 alone rounds as written."""
+    i = [arr.reshape(s.shape) for arr in i]
+    val = q * q * i[0]
+    if ab is not None:
+        val = ab[0] + ab[1] * s + val
+    if order < 1:
+        return Jet2(val)
+    d1 = 2.0 * q * i[0] if ab is None else ab[1] + 2.0 * q * i[0]
+    return Jet2(val, d1 - q * q * i[1],
+                2.0 * i[0] - 4.0 * q * i[1] + 2.0 * q * q * i[2]
+                if order >= 2 else None)
+
+
 class _CauchyKernelGrid:
     """Fixed quadrature grids for integrals int f(u) (u+s)^{-m} du, m = 1..3.
 
@@ -537,11 +553,7 @@ def build_theorem3(ell: SlowlyVaryingEll,
                              ell.c)
 
     def jet_fn(s, order):
-        i = [a.reshape(s.shape) for a in grid.integrals(s.ravel(), order + 1)]
-        return Jet2(s * s * i[0],
-                    2.0 * s * i[0] - s * s * i[1] if order >= 1 else None,
-                    2.0 * i[0] - 4.0 * s * i[1] + 2.0 * s * s * i[2]
-                    if order >= 2 else None)
+        return _cauchy_jet(s, s, grid.integrals(s.ravel(), order + 1), order)
 
     lbl = label or f"scale[{ell.label}, c={ell.c:g}]"
     return AdmissibleFunction(lbl, jet_fn, ell.c, math.pi)
@@ -650,12 +662,7 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
             tails = _tail_closed_forms(flat, cut, k1, k2, saw, order + 1)
             i = [im + tm for im, tm in zip(i, tails)]
-        i = [arr.reshape(s.shape) for arr in i]
-        q = s - a0
-        return Jet2(A + B * s + q * q * i[0],
-                    B + 2.0 * q * i[0] - q * q * i[1] if order >= 1 else None,
-                    2.0 * i[0] - 4.0 * q * i[1] + 2.0 * q * q * i[2]
-                    if order >= 2 else None)
+        return _cauchy_jet(s, s - a0, i, order, (A, B))
 
     support_inf = 0.0
     pos = np.nonzero(m > 0)[0]

@@ -6,8 +6,8 @@ family's asymptotic form past that.  Phi is strictly increasing on the
 positive ray and univalent in the sector S(alpha, rho0) for rho0 large
 enough, so a saddle is found in two stages:
 
-* the ray root x = log rho of Phi(e^x) = log r, by a bracket whose step
-  in x doubles at every evaluation and safeguarded Newton in x;
+* the ray root x = log rho of Phi(e^x) = log r, by a doubling bracket in
+  x and _line_root, the one real root finder (Newton on a line in w);
 * a Newton continuation in w from x toward log z = log r + i psi, with
   theta_z = Im w.  If theta_z reaches the sector edge before psi is
   reached, the point has no saddle there and is tagged accordingly.
@@ -18,8 +18,8 @@ returns the stored result without evaluating Phi.
 
 solve_real and solve refuse saddle radii past 1e290; solve_real_log and
 solve_log_domain reach them (log_rho_z holds the radius, rho_z is inf).
-boundary_psi steps theta = Im w from the ray root to alpha on the level
-curve Re Phi(e^w) = log r and keeps psi = Im Phi if psi's saddle is there.
+boundary_psi (Re Phi = log r up to theta = alpha) and
+point_with_saddle_radius (Im Phi = psi at |s| = rho*) use _line_root too.
 """
 from __future__ import annotations
 
@@ -28,8 +28,6 @@ import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .catalog import _JET_LOG_RADIUS, AdmissibleFunction
 from .errors import ContinuationError, NoSaddleError, SpecError
@@ -106,6 +104,33 @@ def _memoized(fn):
     return memo_fn
 
 
+def _line_root(f: AdmissibleFunction, w0: complex, along: complex,
+               target: float, t: float, lo: float, hi: float,
+               tol_resid: float, evals: int):
+    """Newton in t for Re Phi(e^w) = target (along = 1) or Im Phi(e^w) =
+    target (along = 1j) at w = w0 + along t, both of slope Re dPhi/dw.
+    Each residual's sign shrinks the bracket (lo, hi); a step leaving it
+    bisects, or gives up while an end is infinite.  (t, Phi, dPhi/dw) once
+    |resid| <= tol_resid; None after evals evaluations, once the bracket
+    has collapsed, or where Phi cannot be evaluated."""
+    for _ in range(evals):
+        try:
+            phi, dphi = _phi_w(f, w0 + along * t)
+        except NoSaddleError:
+            return None
+        resid = (phi.real if along == 1 else phi.imag) - target
+        if abs(resid) <= tol_resid:
+            return t, phi, dphi
+        lo, hi = (lo, t) if resid > 0 else (t, hi)
+        t_new = t - resid / dphi.real if dphi.real > 0 else math.nan
+        if not lo < t_new < hi:
+            if not hi - lo > 1e-14 * (abs(lo) + abs(hi)):   # inf or collapsed
+                return None
+            t_new = 0.5 * (lo + hi)
+        t = t_new
+    return None
+
+
 @_memoized
 def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
     """x = log rho with Phi(e^x) = target on the positive ray.
@@ -113,8 +138,8 @@ def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
     The bracket steps x from its start by log 3 upward or log 1/4
     downward and doubles the step at every evaluation; for a weight
     without a log-domain Phi an upward step stops just below the jet's
-    cut, so a root short of it is not skipped.  Safeguarded Newton in x
-    follows.  Memoized per weight.
+    cut, so a root short of it is not skipped.  _line_root follows from
+    the bracket's middle.  Memoized per weight.
     """
     x0 = x = math.log(max(1.0, 1.5 * f.c_gamma + 0.5))
     g_prev = _phi_w(f, x0, 1)[0].real
@@ -141,24 +166,12 @@ def _ray_root(f: AdmissibleFunction, target: float, rel_tol: float) -> float:
         raise NoSaddleError(f"{f.label}: no bracket for log_r = {target:.6g}")
 
     lo, hi = (x0, x) if up else (x, x0)
-    x = 0.5 * (lo + hi)
-    for _ in range(200):
-        phi, dphi = _phi_w(f, x)
-        resid = phi.real - target
-        if abs(resid) <= rel_tol * (1.0 + abs(target)):
-            return x
-        if resid > 0:
-            hi = x
-        else:
-            lo = x
-        slope = dphi.real
-        step = -resid / slope if slope > 0 else math.nan
-        x_new = x + step
-        if not (lo < x_new < hi):   # Newton left the bracket: bisect
-            x_new = 0.5 * (lo + hi)
-        x = x_new
-    raise NoSaddleError(f"{f.label}: ray solve stalled, log rho bracket "
-                        f"[{lo:.6g}, {hi:.6g}]")
+    root = _line_root(f, 0j, 1, target, 0.5 * (lo + hi), lo, hi,
+                      rel_tol * (1.0 + abs(target)), 200)
+    if root is None:
+        raise NoSaddleError(f"{f.label}: ray solve stalled, log rho bracket "
+                            f"[{lo:.6g}, {hi:.6g}]")
+    return root[0]
 
 
 def _exp_w(w: complex) -> Tuple[complex, float]:
@@ -316,7 +329,7 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
     sits at angle alpha (the boundary curve of Omega(alpha) at radius r).
 
     theta steps from 0 to alpha on the level curve Re Phi(e^{u+i theta})
-    = log_r (Newton in u, at most 6 evaluations; a failed step halves).
+    = log_r (_line_root in u, unbracketed, 6 evaluations; failures halve).
     NoSaddleError where the curve folds (Re dPhi/dw <= 0), where the step
     falls below 1e-9 alpha, or where the saddle of log_r + i psi misses.
     """
@@ -331,22 +344,15 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
     x = u = _ray_root(f, log_r, rel_tol)
     theta, dt = 0.0, alpha / math.ceil(alpha / 0.25)
     while theta < alpha:
-        t_next, v = min(alpha, theta + dt), u
-        for _ in range(6):          # Newton in u on the curve at t_next
-            try:
-                phi, dphi = _phi_w(f, complex(v, t_next))
-            except NoSaddleError:
-                break
-            if abs(phi.real - log_r) <= tol_resid:
-                if not dphi.real > 0.0:   # dpsi/dtheta = |Phi'|^2 / Re Phi'
-                    raise NoSaddleError(f"{f.label}: the level curve of "
-                                        f"log_r = {log_r:.6g} folds")
-                theta, u = t_next, v
-                break
-            if not 0.0 < dphi.real < math.inf:
-                break
-            v -= (phi.real - log_r) / dphi.real
-        if theta < t_next:
+        t_next = min(alpha, theta + dt)
+        root = _line_root(f, 1j * t_next, 1, log_r, u, -math.inf, math.inf,
+                          tol_resid, 6)
+        if root is not None:
+            if not root[2].real > 0.0:   # dpsi/dtheta = |Phi'|^2 / Re Phi'
+                raise NoSaddleError(f"{f.label}: the level curve of "
+                                    f"log_r = {log_r:.6g} folds")
+            theta, u, phi = t_next, root[0], root[1]
+        else:
             dt *= 0.5
             if dt < 1e-9 * alpha:
                 raise NoSaddleError(f"{f.label}: the level curve of log_r = "
@@ -365,34 +371,24 @@ def point_with_saddle_radius(f: AdmissibleFunction, rho_star: float,
     """Surface point whose saddle has |s_z| = rho_star, on the ray where
     the point's argument equals psi_sign_ray.
 
-    For psi = 0 this is just z = exp(Phi(rho_star)); otherwise the saddle
-    angle theta is solved so that Im Phi(rho* e^{i theta}) = psi.
+    For psi = 0 this is just z = exp(Phi(rho_star)); otherwise _line_root
+    solves Im Phi(rho* e^{i theta}) = psi for theta between 0 and the
+    sector edge, from the middle of that range.  NoSaddleError when no
+    theta there reaches psi; SpecError unless rho_star > 0.
     """
+    if not rho_star > 0.0:
+        raise SpecError(f"rho* must be positive, got {rho_star:.6g}")
+    x = math.log(rho_star)
     if psi_sign_ray == 0.0:
-        phi = complex(f.dlog_gamma(np.complex128(rho_star)))
-        return LogSurfacePoint(phi.real, 0.0), complex(rho_star)
-
-    lo, hi = 0.0, f.alpha0 - _EDGE_DELTA
-    if psi_sign_ray < 0:
-        lo, hi = -hi, 0.0
-
-    def im_phi(theta):
-        return complex(f.dlog_gamma(rho_star * cmath.exp(1j * theta))).imag
-
-    if (im_phi(hi) < psi_sign_ray) if psi_sign_ray > 0 else \
-            (im_phi(lo) > psi_sign_ray):
+        return LogSurfacePoint(_phi_w(f, complex(x), 1)[0].real, 0.0), \
+            complex(rho_star)
+    edge = math.copysign(f.alpha0 - _EDGE_DELTA, psi_sign_ray)
+    root = _line_root(f, complex(x), 1j, psi_sign_ray, 0.5 * edge,
+                      min(0.0, edge), max(0.0, edge),
+                      1e-12 * (1.0 + abs(psi_sign_ray)), 60)
+    if root is None:
         raise NoSaddleError(
             f"rho* = {rho_star:.6g}: no saddle angle in the sector reaches "
             f"psi = {psi_sign_ray:.6g}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if im_phi(mid) < psi_sign_ray:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
-            break
-    theta = 0.5 * (lo + hi)
-    s = rho_star * cmath.exp(1j * theta)
-    phi = complex(f.dlog_gamma(np.complex128(s)))
-    return LogSurfacePoint(phi.real, phi.imag), s
+    theta, phi, _ = root
+    return LogSurfacePoint(phi.real, phi.imag), rho_star * cmath.exp(1j * theta)

@@ -8,10 +8,10 @@ import pytest
 import scipy.special as sp
 
 from mellin_saddle import (E_asymptotic, K_asymptotic, LogSurfacePoint,
-                           NoSaddleError, boundary_psi, build_theorem3,
-                           classify, ell_power, exp_scale, gamma_shift,
-                           iterated_log, point_with_saddle_radius, solve,
-                           solve_real)
+                           NoSaddleError, SpecError, boundary_psi,
+                           build_theorem3, classify, ell_power, exp_scale,
+                           gamma_shift, iterated_log, point_with_saddle_radius,
+                           solve, solve_real)
 from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
 
@@ -233,12 +233,47 @@ def test_log_domain_solve_matches_normal(iterlog):
     assert b.theta_z == pytest.approx(a.theta_z, rel=1e-6, abs=1e-12)
 
 
-def test_point_with_saddle_radius_round_trip(gamma0):
-    for psi in [0.0, 0.9]:
-        z, s_exp = point_with_saddle_radius(gamma0, 35.0, psi)
-        sol, _ = solve(gamma0, z)
-        assert abs(sol.s_z) == pytest.approx(35.0, rel=1e-9)
+def test_point_with_saddle_radius_round_trip(gamma0, theorem3_power):
+    # theorem3's Phi is unreliable near the sector edge, so its points are
+    # reached only by a solve that stays inside the sector
+    cases = [(gamma0, 35.0, 0.0), (gamma0, 35.0, 0.9),
+             (theorem3_power, 10.0, 0.9), (theorem3_power, 160.0, -0.9),
+             (theorem3_power, 640.0, 2.5)]
+    for f, rho, psi in cases:
+        z, s_exp = point_with_saddle_radius(f, rho, psi)
+        assert z.psi == pytest.approx(psi, abs=1e-12 * (1.0 + abs(psi)))
+        sol, _ = solve(f, z)
+        assert abs(sol.s_z) == pytest.approx(rho, rel=1e-9)
         assert sol.s_z == pytest.approx(s_exp, rel=1e-9)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(SpecError):
+            point_with_saddle_radius(gamma0, bad, 0.5)
+
+
+def test_point_with_saddle_radius_cost(monkeypatch):
+    f = gamma_shift(0.0)
+    calls = []
+    jet = f.jet
+
+    def counted(s, order=2):
+        calls.append(order)
+        return jet(s, order)
+
+    monkeypatch.setattr(f, "jet", counted)
+    point_with_saddle_radius(f, 35.0, 0.9)
+    assert len(calls) <= 8
+
+
+def test_scan_K_reaches_theorem3_at_small_radius(capsys):
+    from mellin_saddle.cli import main
+    spec = '{"kind":"theorem3","params":{"ell":"power","a":1.0,"c":1.0}}'
+    code = main(["verify", "scan-K", "--spec", spec, "--psi", "0.9",
+                 "--rho-targets", "10"])
+    out = capsys.readouterr().out
+    # rho* = 10 lies below rho0, so the honest answer is a region error
+    assert code == 1
+    assert "no saddle angle" not in out
+    assert "outside Omega" in out
 
 
 def test_classify_splits_at_boundary_curve(iterlog):

@@ -11,7 +11,11 @@ payload repr((value, abs_error, nodes, log_scale, converged)).  The saddle
 lines are solve at the same 36 (weight, r, psi) points, with payload
 repr((s_z, theta_z, iterations)), or repr of the region tag when there is
 no solution; and boundary_psi on the four weights at r in {2, 5, 10} and
-alpha in {0.5, pi/2, 2.5}, with payload repr(psi): 262 lines in all.
+alpha in {0.5, pi/2, 2.5}, with payload repr(psi).  Two more saddle kinds
+follow: point_with_saddle_radius on the four weights at rho* in
+{10, 35, 100} and psi in {0, 0.9, -1.5}, with payload
+repr((log_r, psi, s)), and local_gaussian_saddle at the 36 solve points,
+with payload repr(value): 334 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -50,7 +54,10 @@ PSIS = (0.0, 1.0, 2.5)
 MOMENT_WEIGHTS = ("gamma_shift0", "theorem3")
 MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
-UNBARRED = ("solve", "boundary_psi")     # saddle kinds: no error bar
+RHO_STARS = (10.0, 35.0, 100.0)
+RAY_PSIS = (0.0, 0.9, -1.5)
+UNBARRED = ("solve", "boundary_psi", "point_with_saddle_radius",
+            "local_gaussian_saddle")     # saddle kinds: no error bar
 
 
 def _evaluated(res):
@@ -62,6 +69,11 @@ def _solved(sol_tag):
     sol, tag = sol_tag
     return repr(str(tag)) if sol is None else \
         repr((sol.s_z, sol.theta_z, sol.iterations))
+
+
+def _placed(z_s):
+    z, s = z_s
+    return repr((z.log_r, z.psi, s))
 
 
 def calls():
@@ -105,6 +117,19 @@ def calls():
                 out.append((f"boundary_psi {name} r={r:g} alpha={alpha:g}",
                             lambda f=f, r=r, alpha=alpha:
                             repr(ms.boundary_psi(f, math.log(r), alpha))))
+    for name, f in weights.items():
+        for rho in RHO_STARS:
+            for psi in RAY_PSIS:
+                out.append((f"point_with_saddle_radius {name} rho*={rho:g} "
+                            f"psi={psi:g}", lambda f=f, rho=rho, psi=psi:
+                            _placed(ms.point_with_saddle_radius(f, rho, psi))))
+    for name, f in weights.items():
+        for r in RADII:
+            for psi in PSIS:
+                z = ms.LogSurfacePoint(math.log(r), psi)
+                out.append((f"local_gaussian_saddle {name} r={r:g} psi={psi:g}",
+                            lambda f=f, z=z:
+                            repr(ms.local_gaussian_saddle(f, z))))
     return out
 
 
@@ -208,10 +233,10 @@ def compare(path_a, path_b, stream=sys.stdout):
         print(f"{ev:<12}{nodes[ev][0]:>12,}{nodes[ev][1]:>12,}"
               f"{changed[ev]:>9}{same[ev]:>6}", file=stream)
     print(f"largest change / sum of both bars: {worst:.3g}", file=stream)
-    print(f"{'saddle':<14}{'changed':>9}{'same':>6}  largest relative move",
+    print(f"{'saddle':<26}{'changed':>9}{'same':>6}  largest relative move",
           file=stream)
     for ev in [k for k in kinds if k in UNBARRED]:
-        print(f"{ev:<14}{changed[ev]:>9}{same[ev]:>6}  {moves[ev]:.3g}",
+        print(f"{ev:<26}{changed[ev]:>9}{same[ev]:>6}  {moves[ev]:.3g}",
               file=stream)
     print(f"lines raising on both sides: {raised}; findings: {findings}",
           file=stream)
