@@ -10,13 +10,17 @@ Both use L/L' = s/eps and s^2 L'/L = s eps.  The square root is positive
 on the positive ray and continued along the solver's path: its argument
 is assembled from the continuously tracked theta_z, never snapped to a
 principal branch.  Magnitudes ride on log_scale so nothing overflows.
+
+The paper's margins are fixed: the K form and the local saddle chord hold
+in Omega(alpha0 - 0.1), E's transition band is |theta_z - pi/2| < 0.05,
+and the chord's half-length is rho_z^{1 - 0.125}.
 """
 from __future__ import annotations
 
 import cmath
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -27,6 +31,8 @@ from .surface import LogSurfacePoint, Tolerances
 from .transforms import _path_integral
 
 _SCALE_LIMIT = 300.0
+_K_DELTA = 0.1        # K's form and the chord: Omega(alpha0 - _K_DELTA)
+_E_DELTA = 0.05       # E's growth region pi/2 + _E_DELTA and transition band
 
 
 @dataclass(frozen=True)
@@ -62,15 +68,14 @@ def _saddle_terms(f: AdmissibleFunction, sol: SaddleSolution):
     return 0.5 * complex(log_abs_q, arg_q), sol.s_z * eps
 
 
-def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
-                 delta: float = 0.1) -> AsymptoticValue:
+def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint) -> AsymptoticValue:
     """Leading decay form sqrt(s/(2 pi eps)) exp(-s eps) at s = s_z.
 
-    Valid inside the sector image Omega(alpha0 - delta); raises
+    Valid inside the sector image Omega(alpha0 - 0.1); raises
     RegionError elsewhere.
     """
     sol, tag = solve(f, z)
-    alpha = f.alpha0 - delta
+    alpha = f.alpha0 - _K_DELTA
     if sol is None or abs(sol.theta_z) >= alpha or sol.rho_z <= tag.rho0_used:
         raise RegionError(
             f"decay asymptotics not applicable at {z}: saddle "
@@ -82,14 +87,14 @@ def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
     return _split_scale(logval, region, [])
 
 
-def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
-                 delta: float = 0.05) -> AsymptoticValue:
+def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint) -> AsymptoticValue:
     """Asserted value of z E(z) + 1/gamma(0).
 
-    Inside Omega(pi/2 + delta): the saddle growth form; outside: 0 (the
-    sum is o(1) there).  In the transition annulus both candidate terms
-    are reported through warnings.  The additive o(1) term is always
-    reported as a warning band, not folded into the value.
+    Inside Omega(pi/2 + 0.05): the saddle growth form; outside: 0 (the
+    sum is o(1) there).  In the transition annulus, |theta_z| within 0.05
+    of pi/2, both candidate terms are reported through warnings.  The
+    additive o(1) term is always reported as a warning band, not folded
+    into the value.
     """
     warnings = []
     eps_bar = f.epsilon_limsup_estimate()
@@ -102,16 +107,16 @@ def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint, *,
 
     sol, tag = solve(f, z)
     half_pi = 0.5 * math.pi
-    if sol is None or abs(sol.theta_z) > half_pi + delta:
+    if sol is None or abs(sol.theta_z) > half_pi + _E_DELTA:
         kind = "no_saddle" if sol is None else "outside"
         alpha = None if sol is None else abs(sol.theta_z)
         return AsymptoticValue(0.0, 0.0, RegionTag(kind, alpha, tag.rho0_used),
                                warnings)
     log_sqrt, s_eps = _saddle_terms(f, sol)
     logval = log_sqrt + 0.5 * math.log(2.0 * math.pi) + s_eps
-    if abs(sol.theta_z) >= half_pi - delta:
+    if abs(sol.theta_z) >= half_pi - _E_DELTA:
         warnings.append(
-            "transition annulus (|theta_z| within delta of pi/2): the saddle "
+            "transition annulus (|theta_z| within 0.05 of pi/2): the saddle "
             f"term exp({logval.real:.4g}) and the o(1) band may be comparable; "
             "both are reported, neither dominates provably")
     region = RegionTag("inside", abs(sol.theta_z), tag.rho0_used)
@@ -127,21 +132,18 @@ def local_gaussian_reference(f: AdmissibleFunction,
     return _split_scale(logval, RegionTag("inside", abs(sol.theta_z), 0.0), [])
 
 
-def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint, *,
-                          delta: float = 0.1, delta1: float = 0.125,
-                          tol: Optional[Tolerances] = None) -> complex:
+def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint) -> complex:
     """Integral of e^{G(z, s)} over the steepest-descent chord through the
-    saddle: s = s_z + i t e^{i theta_z / 2}, |t| <= rho_z^{1 - delta1}.
+    saddle: s = s_z + i t e^{i theta_z / 2}, |t| <= rho_z^{1 - 0.125}.
 
     One transforms._path_integral with finite ends, seeded from the saddle
     at the Gaussian width 1/sqrt|Phi'(s_z)|; compare against
     local_gaussian_reference.
     """
-    tols = tol or Tolerances.for_quadrature()
     sol, tag = solve(f, z)
-    if sol is None or abs(sol.theta_z) >= f.alpha0 - delta:
+    if sol is None or abs(sol.theta_z) >= f.alpha0 - _K_DELTA:
         raise RegionError(f"local saddle integral needs an interior saddle at {z}")
-    half_len = sol.rho_z ** (1.0 - delta1)
+    half_len = sol.rho_z ** (1.0 - 0.125)
     direction = 1j * cmath.exp(0.5j * sol.theta_z)
 
     def g(t):
@@ -149,8 +151,8 @@ def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint, *,
         return (f.log_gamma(s) - s * z.log_z)[:, None]
 
     width = 1.0 / math.sqrt(abs(complex(f.d2log_gamma(np.complex128(sol.s_z)))))
-    res = _path_integral(g, tols, -half_len, 0.0, half_len, width,
-                         f"local saddle chord at {z}")
+    res = _path_integral(g, Tolerances.for_quadrature(), -half_len, 0.0,
+                         half_len, width, f"local saddle chord at {z}")
     if abs(res.log_scale) > 600.0:
         raise QuadratureError(
             f"local saddle integral magnitude e^{res.log_scale:.3g} leaves the "

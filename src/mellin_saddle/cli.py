@@ -29,7 +29,7 @@ import numpy as np
 
 from .asymptotics import E_asymptotic, K_asymptotic
 from .catalog import (AdmissibleFunction, FunctionSpec, build,
-                      audit_admissibility, _ELL_PRESETS)
+                      audit_admissibility, _ELL_PRESETS, _number, _preset)
 from .errors import NumericalError, RegionError, SpecError
 from .saddle import NoSaddleError, boundary_psi, solve
 from .surface import LogSurfacePoint, Tolerances
@@ -65,13 +65,11 @@ def _parse_kv(text: str) -> dict:
 
 
 def _parse_range(v: str):
-    if ".." in v:
-        lo, rest = v.split("..", 1)
-        if ":" in rest:
-            hi, n = rest.split(":", 1)
-            return float(lo), float(hi), int(n)
-        return float(lo), float(rest), None
-    return float(v), float(v), 1
+    """A..B[:N] as (A, B, N or None), a single value V as (V, V, 1)."""
+    lo, rest = v.split("..", 1) if ".." in v else (v, f"{v}:1")
+    hi, colon, n = rest.partition(":")
+    return (_number(float, lo, "range start"), _number(float, hi, "range end"),
+            _number(int, n, "range count") if colon else None)
 
 
 def parse_grid(text: str) -> List[LogSurfacePoint]:
@@ -79,14 +77,14 @@ def parse_grid(text: str) -> List[LogSurfacePoint]:
     if "r" not in kv:
         raise SpecError(f"grid needs r=A..B, got {text!r}")
     r_lo, r_hi, n_inline = _parse_range(kv["r"])
-    n = int(kv.get("n", n_inline or 1))
+    n = _number(int, kv.get("n", n_inline or 1), "grid n")
     if n < 1 or r_lo <= 0:
         raise SpecError(f"grid needs n >= 1 and r_min > 0, got {text!r}")
     rs = np.geomspace(r_lo, r_hi, n) if n > 1 else np.array([r_lo])
     psis = [0.0]
     if "psi" in kv:
         p_lo, p_hi, m = _parse_range(kv["psi"])
-        m = int(kv.get("npsi", m or 1))
+        m = _number(int, kv.get("npsi", m or 1), "grid npsi")
         psis = np.linspace(p_lo, p_hi, m) if m > 1 else [p_lo]
     return [LogSurfacePoint(math.log(r), float(p)) for p in psis for r in rs]
 
@@ -95,10 +93,10 @@ def parse_at(text: str) -> LogSurfacePoint:
     kv = _parse_kv(text)
     if "r" not in kv:
         raise SpecError(f"--at needs r=R[,psi=P], got {text!r}")
-    r = float(kv["r"])
+    r = _number(float, kv["r"], "--at r")
     if r <= 0:
         raise SpecError(f"--at needs r > 0, got {r}")
-    return LogSurfacePoint(math.log(r), float(kv.get("psi", 0.0)))
+    return LogSurfacePoint(math.log(r), _number(float, kv.get("psi", 0.0), "--at psi"))
 
 
 def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
@@ -112,19 +110,21 @@ def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
         vertex = None
         if extra:
             kv = _parse_kv(extra)
-            vertex = float(kv["vertex"]) if "vertex" in kv else None
-        return ContourSpec("l_alpha", alpha=float(alpha_txt), vertex=vertex)
+            vertex = _number(float, kv["vertex"], "vertex") if "vertex" in kv else None
+        return ContourSpec("l_alpha", alpha=_number(float, alpha_txt, "alpha"),
+                           vertex=vertex)
     if kind == "vertical":
         if not rest:
             raise SpecError("vertical contour needs vertical:C")
-        return ContourSpec("vertical", c=float(rest))
+        return ContourSpec("vertical", c=_number(float, rest, "c"))
     raise SpecError(f"unknown contour {text!r}; use lalpha:A[,vertex=V] or "
                     "vertical:C")
 
 
 def _tolerances(args) -> Tolerances:
-    max_nodes = int(os.environ.get("MELLIN_MAX_NODES", 200_000))
-    rel = args.tol if getattr(args, "tol", None) else 1e-8
+    max_nodes = _number(int, os.environ.get("MELLIN_MAX_NODES", 200_000),
+                        "MELLIN_MAX_NODES")
+    rel = 1e-8 if getattr(args, "tol", None) is None else args.tol
     return Tolerances(rel_tol=rel, max_nodes=max_nodes)
 
 
@@ -185,16 +185,10 @@ def _run_eval(args, which: str) -> int:
     rows = []
     for z in _points(args):
         region, rho_z, theta_z = _saddle_fields(f, z)
-        if which == "eval-K":
-            res = eval_K(f, z, contour, tol=tols)
-            rows.append(_row(z, res.value, res.log_scale, res.abs_error,
-                             region, rho_z, theta_z))
-        elif which == "eval-E":
-            res = eval_E_series(f, z, tol=tols)
-            rows.append(_row(z, res.value, res.log_scale, res.abs_error,
-                             region, rho_z, theta_z))
-        elif which == "abel-plana":
-            res = eval_abel_plana_rhs(f, z, args.sigma0, tol=tols)
+        if which in ("eval-K", "eval-E", "abel-plana"):
+            res = eval_K(f, z, contour, tol=tols) if which == "eval-K" else \
+                eval_E_series(f, z, tol=tols) if which == "eval-E" else \
+                eval_abel_plana_rhs(f, z, args.sigma0, tol=tols)
             rows.append(_row(z, res.value, res.log_scale, res.abs_error,
                              region, rho_z, theta_z))
         elif which == "asym-K":
@@ -299,24 +293,23 @@ def _run_table(args) -> int:
 def _run_verify(args) -> int:
     tols = _tolerances(args)
     suite = args.suite
+    f = None if suite == "theorem3-limits" else build(_load_spec(args.spec))
     if suite == "moments":
-        f = build(_load_spec(args.spec))
         rep = verification.verify_moments(f, args.n_max, tol=tols)
     elif suite == "positivity":
-        f = build(_load_spec(args.spec))
+        if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf
+                and args.t_points >= 1):
+            raise SpecError("positivity needs finite --t-min, --t-max > 0 "
+                            "and --t-points >= 1")
         grid = np.geomspace(args.t_min, args.t_max, args.t_points)
         rep = verification.verify_positivity(f, grid, tol=tols)
     elif suite == "carleman":
-        f = build(_load_spec(args.spec))
         rep = verification.verify_carleman(f, args.n_terms)
     elif suite == "theorem3-limits":
-        name = args.ell
-        if name not in _ELL_PRESETS:
-            raise SpecError(f"unknown ell preset {name!r}")
-        ell = _ELL_PRESETS[name]({"a": args.ell_a, "c": args.ell_c})
+        ell = _preset(_ELL_PRESETS, args.ell, "ell")({"a": args.ell_a,
+                                                      "c": args.ell_c})
         rep = verification.verify_theorem3_limits(ell)
     elif suite in ("scan-K", "scan-E"):
-        f = build(_load_spec(args.spec))
         rep = verification.scan_ratio(
             f, suite[-1], args.psi, args.rho_targets,
             final_max=args.final_max,

@@ -11,7 +11,7 @@ of values[i].
 Each pass checks four stop reasons, in this order:
 
 - "tolerance": the summed Kronrod-Gauss differences fall within
-  max(abs_tol, rel_tol * |value|);
+  max(Tolerances.abs_tol, rel_tol * |value|);
 - "non_finite": the running value or that sum is not finite;
 - "floor": that sum falls to the declared rounding floor, the
   Kronrod-weighted noise summed over the panels, where more nodes
@@ -31,6 +31,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .surface import Tolerances
 
 _EPS = np.finfo(float).eps
 
@@ -88,8 +90,8 @@ def _panel(f, a, b):
     return ik, err, absint, floor
 
 
-def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
-                       max_nodes=200_000, breakpoints=()) -> PanelResult:
+def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
+                       breakpoints=()) -> PanelResult:
     """Integrate f over [a, b] with adaptive (G7, K15) bisection.
 
     breakpoints seeds extra panel edges (kinks, known peaks).  stop names
@@ -112,7 +114,7 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
     declared = False   # the integrand returns (values, noise)
     value_total = None
 
-    def add_panel(lo, hi, refinable=True):
+    def add_panel(lo, hi):
         nonlocal counter, nodes, err_total, floor_total, declared, value_total
         ik, err, absint, floor = _panel(f, lo, hi)
         nodes += 15
@@ -122,7 +124,7 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
         floor_total += floor
         value_total = ik if value_total is None else value_total + ik
         entry = (lo, hi, ik, err, absint, floor)
-        if refinable and (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
+        if (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
             heapq.heappush(heap, (-err, counter, entry))
         else:
             done.append(entry)
@@ -143,7 +145,7 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
 
     while True:
         scale = float(np.max(np.abs(value_total)))
-        if err_total <= max(abs_tol, rel_tol * scale):
+        if err_total <= max(Tolerances.abs_tol, rel_tol * scale):
             return finish("tolerance")
         if declared and not (math.isfinite(scale) and math.isfinite(err_total)):
             return finish("non_finite")
@@ -160,9 +162,10 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, abs_tol=1e-300,
         add_panel(mid, hi)
 
 
-def scan_drop(logmag, t0, bound, *, drop_log, factor=1.6, max_steps=600):
-    """Walk from t0 towards bound on a geometric-ish grid until logmag
-    falls drop_log below the running peak; returns (cut, peak_t, peak_val).
+def scan_drop(logmag, t0, bound, *, drop_log):
+    """Walk from t0 towards bound, in at most 600 steps from max(|t0|, 1)/4
+    up by 1.6 each, until logmag falls drop_log below the running peak;
+    returns (cut, peak_t, peak_val).
 
     The walk goes up when bound > t0 and down otherwise, and returns
     bound as the cut if it gets there first.
@@ -171,7 +174,7 @@ def scan_drop(logmag, t0, bound, *, drop_log, factor=1.6, max_steps=600):
     t = t0
     step = max(abs(t0), 1.0) * 0.25
     peak_t, peak = t0, logmag(t0)
-    for _ in range(max_steps):
+    for _ in range(600):
         t = t + step if up else t - step
         if (up and t >= bound) or (not up and t <= bound):
             return bound, peak_t, peak
@@ -180,5 +183,5 @@ def scan_drop(logmag, t0, bound, *, drop_log, factor=1.6, max_steps=600):
             peak, peak_t = v, t
         elif v < peak - drop_log:
             return t, peak_t, peak
-        step *= factor
+        step *= 1.6
     return t, peak_t, peak

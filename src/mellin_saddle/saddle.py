@@ -16,8 +16,10 @@ Both stages are memoized per weight: solve, classify and the asymptotics
 at one point share one ray root and one continuation, and a repeat
 returns the stored result without evaluating Phi.
 
-solve_real and solve refuse saddle radii past 1e290; solve_real_log and
-solve_log_domain reach them (log_rho_z holds the radius, rho_z is inf).
+Roots are taken to a residual of _ROOT_TOL = 1e-10 relative to
+1 + |log z| (solve_real_log: 1e-12).  solve_real and solve refuse saddle
+radii past 1e290; solve_real_log and solve_log_domain reach them
+(log_rho_z holds the radius, rho_z is inf).
 boundary_psi (Re Phi = log r up to theta = alpha) and
 point_with_saddle_radius (Im Phi = psi at |s| = rho*) use _line_root too.
 """
@@ -31,8 +33,9 @@ from typing import Optional, Tuple
 
 from .catalog import _JET_LOG_RADIUS, AdmissibleFunction
 from .errors import ContinuationError, NoSaddleError, SpecError
-from .surface import LogSurfacePoint, Tolerances
+from .surface import LogSurfacePoint
 
+_ROOT_TOL = 1e-10           # relative residual of every root but solve_real_log's
 _EDGE_DELTA = 0.02          # sector-edge margin alpha0 - delta for continuation
 _LOG_RHO_MAX = math.log(1e290)    # solve_real and solve stay in double range
 _LOG_RHO_MIN = math.log(1e-280)   # e^w below this is not evaluated
@@ -242,9 +245,9 @@ def _continue(f: AdmissibleFunction, x: float, log_z: complex,
     return SaddleSolution(s_z, rho, w.imag, resid, total_iters, log_rho_z=w.real)
 
 
-def _ray_in_range(f: AdmissibleFunction, log_r: float, rel_tol: float) -> float:
+def _ray_in_range(f: AdmissibleFunction, log_r: float) -> float:
     """_ray_root, refusing radii past the double range (rho would be inf)."""
-    x = _ray_root(f, float(log_r), rel_tol)
+    x = _ray_root(f, float(log_r), _ROOT_TOL)
     if x > _LOG_RHO_MAX:
         raise NoSaddleError(
             f"{f.label}: saddle radius e^{x:.6g} for log_r={log_r:.6g} exceeds "
@@ -261,16 +264,14 @@ def _tagged(f: AdmissibleFunction, sol: Optional[SaddleSolution],
     return sol, RegionTag("outside", abs(sol.theta_z), rho0_used)
 
 
-def solve_real(f: AdmissibleFunction, log_r: float, *,
-               tol: Optional[Tolerances] = None) -> float:
+def solve_real(f: AdmissibleFunction, log_r: float) -> float:
     """Root of Phi(rho) = log_r on the positive ray.
 
     Raises NoSaddleError when log_r is below Phi's range on the ray, or
     when the root lies beyond the double range (solve_real_log gives its
     log for weights with an asymptotic form there).
     """
-    tol = tol or Tolerances.for_root_finding()
-    return math.exp(_ray_in_range(f, log_r, tol.rel_tol))
+    return math.exp(_ray_in_range(f, log_r))
 
 
 def solve_real_log(f: AdmissibleFunction, log_r: float) -> float:
@@ -278,43 +279,37 @@ def solve_real_log(f: AdmissibleFunction, log_r: float) -> float:
     return _ray_root(f, float(log_r), 1e-12)
 
 
-def solve(f: AdmissibleFunction, z: LogSurfacePoint, *,
-          tol: Optional[Tolerances] = None,
-          rho0: Optional[float] = None) -> Tuple[Optional[SaddleSolution], RegionTag]:
+def solve(f: AdmissibleFunction, z: LogSurfacePoint
+          ) -> Tuple[Optional[SaddleSolution], RegionTag]:
     """Saddle for a surface point: ray solution, then continuation in psi.
 
-    Returns (solution, tag).  When the continuation path hits the sector
-    edge |theta| = alpha0 - delta before reaching psi, the solution is
-    None and the tag reads no_saddle (the point lies outside every
-    Omega(alpha) with alpha below the edge).  Raises NoSaddleError where
-    solve_real does.
+    Returns (solution, tag), tagged against f.default_rho0().  When the
+    continuation path hits the sector edge |theta| = alpha0 - delta before
+    reaching psi, the solution is None and the tag reads no_saddle (the
+    point lies outside every Omega(alpha) with alpha below the edge).
+    Raises NoSaddleError where solve_real does.
     """
-    tol = tol or Tolerances.for_root_finding()
-    rho0_used = rho0 if rho0 is not None else f.default_rho0()
-    x = _ray_in_range(f, z.log_r, tol.rel_tol)
-    return _tagged(f, _continue(f, x, z.log_z, tol.rel_tol), rho0_used)
+    rho0_used = f.default_rho0()
+    x = _ray_in_range(f, z.log_r)
+    return _tagged(f, _continue(f, x, z.log_z, _ROOT_TOL), rho0_used)
 
 
-def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint,
-                     *, rho0: Optional[float] = None
+def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint
                      ) -> Tuple[Optional[SaddleSolution], RegionTag]:
     """Like solve(), also for saddle radii past the double range, where
-    rho_z is inf and log_rho_z carries the radius; rho0 defaults to 1."""
-    rel_tol = Tolerances.for_root_finding().rel_tol
-    x = _ray_root(f, z.log_r, rel_tol)
-    return _tagged(f, _continue(f, x, z.log_z, rel_tol),
-                   1.0 if rho0 is None else rho0)
+    rho_z is inf and log_rho_z carries the radius; tagged against rho0 = 1."""
+    x = _ray_root(f, z.log_r, _ROOT_TOL)
+    return _tagged(f, _continue(f, x, z.log_z, _ROOT_TOL), 1.0)
 
 
-def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float,
-             rho0: Optional[float] = None) -> RegionTag:
-    """Membership tag for Omega(alpha, rho0): inside iff the saddle exists
-    with |theta_z| < alpha and rho_z > rho0."""
+def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float) -> RegionTag:
+    """Membership tag for Omega(alpha, rho0) with rho0 = f.default_rho0():
+    inside iff the saddle exists with |theta_z| < alpha and rho_z > rho0."""
     if not alpha < f.alpha0:
         raise SpecError(f"alpha must be below alpha0 = {f.alpha0:.6g}")
-    rho0_used = rho0 if rho0 is not None else f.default_rho0()
+    rho0_used = f.default_rho0()
     try:
-        sol, tag = solve(f, z, rho0=rho0_used)
+        sol, _ = solve(f, z)
     except NoSaddleError:
         return RegionTag("no_saddle", alpha, rho0_used)
     if sol is None:
@@ -339,9 +334,8 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
         return -boundary_psi(f, log_r, -alpha)
     if not alpha < f.alpha0 - _EDGE_DELTA:
         raise SpecError(f"alpha too close to the sector edge {f.alpha0:.6g}")
-    rel_tol = Tolerances.for_root_finding().rel_tol
-    tol_resid = rel_tol * (1.0 + abs(log_r))
-    x = u = _ray_root(f, log_r, rel_tol)
+    tol_resid = _ROOT_TOL * (1.0 + abs(log_r))
+    x = u = _ray_root(f, log_r, _ROOT_TOL)
     theta, dt = 0.0, alpha / math.ceil(alpha / 0.25)
     while theta < alpha:
         t_next = min(alpha, theta + dt)
@@ -358,7 +352,7 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
                 raise NoSaddleError(f"{f.label}: the level curve of log_r = "
                                     f"{log_r:.6g} ends at theta = {theta:.6g}")
     psi = phi.imag
-    sol = _continue(f, x, complex(log_r, psi), rel_tol)
+    sol = _continue(f, x, complex(log_r, psi), _ROOT_TOL)
     if sol is None or not abs(sol.theta_z - alpha) <= 1e-8:
         raise NoSaddleError(f"{f.label}: the saddle of psi = {psi:.6g} at "
                             f"log_r = {log_r:.6g} is not at alpha")

@@ -48,7 +48,8 @@ class ContourSpec:
     alpha, vertex on the positive ray) or 'vertical' (line Re s = c).
 
     alpha must lie in (pi/2, alpha0); vertex/c use the saddle radius when
-    left as None."""
+    left as None, and must be finite and positive when given: a vertex at
+    or left of 0 puts the V across the poles of gamma."""
 
     kind: str
     alpha: Optional[float] = None
@@ -58,8 +59,10 @@ class ContourSpec:
     def __post_init__(self):
         if self.kind not in ("l_alpha", "vertical"):
             raise SpecError(f"unknown contour kind {self.kind!r}")
-        if self.kind == "vertical" and self.c is not None and self.c <= 0:
-            raise SpecError(f"vertical contour needs c > 0, got {self.c}")
+        for name in ("vertex", "c"):
+            x = getattr(self, name)
+            if x is not None and not 0 < x < math.inf:
+                raise SpecError(f"contour needs a finite {name} > 0, got {x}")
 
 
 def default_alpha(f: AdmissibleFunction) -> float:
@@ -158,7 +161,6 @@ def _path_integral(g, tols: Tolerances, lo: float, t0: float, hi: float,
             return x.sum(axis=1), _EPS * noise
 
         res = adaptive_integrate(integrand, *ends, rel_tol=tols.rel_tol,
-                                 abs_tol=tols.abs_tol,
                                  max_nodes=tols.max_nodes, breakpoints=seeds)
     return _fold(complex(res.value), res.abs_error, res.nodes, tols, scale)
 
@@ -354,11 +356,10 @@ def eval_abel_plana_rhs(f: AdmissibleFunction, z: LogSurfacePoint,
 # ---------------------------------------------------------------------------
 
 def _k_vertical_batch(f: AdmissibleFunction, logts: np.ndarray, c: float,
-                      tols: Tolerances, rel_tol: Optional[float] = None):
+                      tols: Tolerances, rel_tol: float):
     """K at a batch of positive reals t = exp(logts), all from one vertical
-    line Re s = c; returns (values, log_scales, err, nodes)."""
+    line Re s = c, to rel_tol; returns (values, log_scales, err, nodes)."""
     logts = np.asarray(logts, dtype=float)
-    rel_tol = rel_tol if rel_tol is not None else tols.rel_tol
     drop_log = -math.log(tols.truncation_drop)
     lw = logts.min()   # slowest-decaying column sets the truncation
 
@@ -381,7 +382,6 @@ def _k_vertical_batch(f: AdmissibleFunction, logts: np.ndarray, c: float,
     seeds = sorted({*np.linspace(0, up_cut, 9)[1:-1],
                     *_geometric_seeds(max(up_cut * 1e-3, 1e-6), up_cut)})
     res = adaptive_integrate(integrand, -up_cut, up_cut, rel_tol=rel_tol,
-                             abs_tol=tols.abs_tol,
                              max_nodes=min(tols.max_nodes, 60_000),
                              breakpoints=sorted({*seeds, *(-np.array(seeds))}))
     vals = np.asarray(res.value)
@@ -396,9 +396,7 @@ def moment(f: AdmissibleFunction, n: int, *,
         raise SpecError(f"moment order must be a nonnegative integer, got {n}")
     n = int(n)
     tols = tol or Tolerances.for_quadrature()
-    inner = Tolerances(rel_tol=max(tols.rel_tol / 30.0, 1e-13),
-                       abs_tol=tols.abs_tol, max_nodes=tols.max_nodes,
-                       truncation_drop=tols.truncation_drop)
+    rel_floor = max(tols.rel_tol / 30.0, 1e-13)    # tightest inner K tolerance
     drop_log = -math.log(tols.truncation_drop)
 
     # outer exponent model: eta(w) = (n+1) w + log K(e^w), peaked at
@@ -439,10 +437,10 @@ def moment(f: AdmissibleFunction, n: int, *,
         # a line hugging it keeps |t^{-s}| = O(1) and kills cancellation
         c_line = max(_saddle_radius_or(f, float(np.median(w)), 0.05), 0.05)
         imp_log = float(np.max(np.interp(w, w_prof, eta_prof))) - eta_star + 1.0
-        rel_here = min(0.03, max(inner.rel_tol,
+        rel_here = min(0.03, max(rel_floor,
                                  tols.rel_tol * 0.03 * math.exp(-imp_log)))
-        vals, scales, err, nds = _k_vertical_batch(f, w, c_line, inner,
-                                                   rel_tol=rel_here)
+        vals, scales, err, nds = _k_vertical_batch(f, w, c_line, tols,
+                                                   rel_here)
         nodes_total += nds
         # int t^n K dt = int e^{(n+1)w} K(e^w) dw; the dt jacobian is in (n+1)w
         expo = (n + 1.0) * w + scales - eta_star
@@ -450,8 +448,7 @@ def moment(f: AdmissibleFunction, n: int, *,
         return vals * np.exp(expo)
 
     res = adaptive_integrate(outer_integrand, lo_cut, hi_cut,
-                             rel_tol=tols.rel_tol, abs_tol=tols.abs_tol,
-                             max_nodes=tols.max_nodes,
+                             rel_tol=tols.rel_tol, max_nodes=tols.max_nodes,
                              breakpoints=sorted({w_star,
                                                  *np.linspace(lo_cut, hi_cut, 7)[1:-1]}))
     err = res.abs_error + err_extra * (hi_cut - lo_cut)

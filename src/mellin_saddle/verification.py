@@ -41,13 +41,12 @@ class VerificationReport:
     cases: List[CaseResult] = field(default_factory=list)
     notes: List[str] = field(default_factory=list)
 
-    def add(self, descriptor, measured, expected, tol=None, note=""):
-        tol = self.tolerance if tol is None else tol
+    def add(self, descriptor, measured, expected, note=""):
         denom = max(abs(expected), 1e-300)
         rel = abs(measured - expected) / denom
         self.cases.append(CaseResult(descriptor, float(measured),
                                      float(expected), float(rel),
-                                     bool(rel <= tol), note))
+                                     bool(rel <= self.tolerance), note))
         return self.cases[-1]
 
     def add_flag(self, descriptor, passed, measured=math.nan,
@@ -84,12 +83,13 @@ class VerificationReport:
 
 
 def verify_moments(f: AdmissibleFunction, n_max: int = 10, *,
-                   tolerance: float = 1e-6,
                    tol: Optional[Tolerances] = None) -> VerificationReport:
-    """moment(f, n) against gamma(n+1) for n = 0..n_max."""
+    """moment(f, n) against gamma(n+1) for n = 0..n_max, to 1e-6."""
+    if n_max < 0:
+        raise SpecError(f"n_max must be >= 0, got {n_max}")
     if n_max > 15:
         raise SpecError("moment orders above 15 exceed quadrature conditioning")
-    rep = VerificationReport(f"moments[{f.label}]", tolerance)
+    rep = VerificationReport(f"moments[{f.label}]", 1e-6)
     for n in range(n_max + 1):
         want = float(np.exp(np.real(f.log_gamma(np.complex128(n + 1.0)))))
         try:
@@ -103,10 +103,14 @@ def verify_moments(f: AdmissibleFunction, n_max: int = 10, *,
 
 
 def verify_positivity(f: AdmissibleFunction, t_grid: Sequence[float], *,
-                      band: float = 1e-9,
                       tol: Optional[Tolerances] = None) -> VerificationReport:
-    """K(t) >= -band * max|K| (and |Im K| below the same band) on the grid;
-    meaningful for weights built from a positive integral representation."""
+    """K(t) >= -band * max|K| (and |Im K| below the same band), band =
+    1e-9, on a nonempty grid of finite t > 0; meaningful for weights built
+    from a positive integral representation."""
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid or not all(0.0 < t < math.inf for t in t_grid):
+        raise SpecError(f"positivity needs finite t > 0 on its grid, got {t_grid}")
+    band = 1e-9
     rep = VerificationReport(f"positivity[{f.label}]", band)
     if not f.positive_type:
         rep.notes.append("weight not tagged positive-type; bound is not implied")
@@ -118,9 +122,9 @@ def verify_positivity(f: AdmissibleFunction, t_grid: Sequence[float], *,
         return rep
     vals = []
     for t in t_grid:
-        z = LogSurfacePoint(math.log(float(t)), 0.0)
+        z = LogSurfacePoint(math.log(t), 0.0)
         k = eval_K(f, z, ContourSpec("vertical"), tol=tol)
-        vals.append((float(t), k))
+        vals.append((t, k))
     mag_max = max(v.magnitude_log for _, v in vals)
     for t, k in vals:
         scale = math.exp(k.log_scale - mag_max)
@@ -132,8 +136,8 @@ def verify_positivity(f: AdmissibleFunction, t_grid: Sequence[float], *,
     return rep
 
 
-def verify_carleman(f: AdmissibleFunction, n_terms: int = 100_000, *,
-                    growth_min: float = 1.01) -> VerificationReport:
+def verify_carleman(f: AdmissibleFunction,
+                    n_terms: int = 100_000) -> VerificationReport:
     """Divergence evidence for sum gamma(n+1)^{-1/(2n)}.
 
     Partial sums on a dyadic ladder must still grow by > 1% per doubling
@@ -143,6 +147,7 @@ def verify_carleman(f: AdmissibleFunction, n_terms: int = 100_000, *,
     """
     if n_terms < 1000:
         raise SpecError("need at least 1e3 terms for the ladder")
+    growth_min = 1.01
     rep = VerificationReport(f"carleman[{f.label}]", growth_min)
     rep.notes.append("divergence evidence, not proof")
     marks = [n_terms // 8, n_terms // 4, n_terms // 2, n_terms]
@@ -175,10 +180,9 @@ def verify_carleman(f: AdmissibleFunction, n_terms: int = 100_000, *,
     return rep
 
 
-def verify_theorem3_limits(ell: SlowlyVaryingEll,
-                           rho_ladder: Optional[Sequence[float]] = None, *,
-                           tolerance: float = 0.02) -> VerificationReport:
-    """Limits of the slowly-varying construction along a radius ladder.
+def verify_theorem3_limits(ell: SlowlyVaryingEll) -> VerificationReport:
+    """Limits of the slowly-varying construction along the radius ladder
+    1e2, 1e3, .., 1e6.
 
     (i)  log gamma(rho) / (rho (log ell(rho) - log ell(c))) -> 1
     (ii) ell(rho) / gamma(rho)^{1/rho} -> ell(c)   (when rho ell'/ell has
@@ -187,20 +191,14 @@ def verify_theorem3_limits(ell: SlowlyVaryingEll,
     The construction integrates from c, so the reference constant is the
     scale frozen at the lower limit, ell(c); as c -> 0 both statements
     turn into the plain normalized ones with ell(0).  Deviations must
-    shrink along the ladder and end below the tolerance.
+    shrink along the ladder and end below the tolerance 0.02.
     """
-    if rho_ladder is None:
-        rho_ladder = np.geomspace(1e2, 1e6, 5)
-    rho_ladder = np.asarray(sorted(float(r) for r in rho_ladder))
-    if rho_ladder[-1] < 1e6:
-        raise SpecError("ladder must reach 1e6 for a meaningful trend")
     f = build_theorem3(ell)
-    rep = VerificationReport(f"theorem3-limits[{ell.label}, c={ell.c:g}]",
-                             tolerance)
+    rep = VerificationReport(f"theorem3-limits[{ell.label}, c={ell.c:g}]", 0.02)
     log_ell_c = float(ell.log_ell(np.array([ell.c]))[0])
 
     devs_i, devs_ii = [], []
-    for rho in rho_ladder:
+    for rho in np.geomspace(1e2, 1e6, 5):
         lg = float(np.real(f.log_gamma(np.complex128(rho))))
         le = float(ell.log_ell(np.array([rho]))[0])
         ratio_i = lg / (rho * (le - log_ell_c))
@@ -217,8 +215,8 @@ def verify_theorem3_limits(ell: SlowlyVaryingEll,
     # the verdict is the trend: shrinking deviations ending under tolerance
     for name, devs in (("i", devs_i), ("ii", devs_ii)):
         shrinking = all(b <= a * 1.2 + 1e-12 for a, b in zip(devs[:-1], devs[1:]))
-        rep.add_flag(f"({name}) final deviation", devs[-1] < tolerance,
-                     measured=devs[-1], expected=tolerance)
+        rep.add_flag(f"({name}) final deviation", devs[-1] < rep.tolerance,
+                     measured=devs[-1], expected=rep.tolerance)
         rep.add_flag(f"({name}) ladder shrinks", shrinking,
                      note=f"deviations {['%.3g' % d for d in devs]}")
     return rep
@@ -228,20 +226,20 @@ def scan_ratio(f: AdmissibleFunction, which: str, ray_psi: float,
                rho_targets: Sequence[float], *,
                final_max: float = 0.05,
                expected_deviation: Optional[Callable[[float], float]] = None,
-               deviation_factor: float = 3.0,
                require_monotone_tail: bool = True,
                tol: Optional[Tolerances] = None) -> VerificationReport:
     """|numeric/asymptotic - 1| along a ladder of saddle radii on one ray.
 
     which = 'K' compares the decay side, 'E' the growth side (through
     z E + 1/gamma(0)).  Passes when the final rung is below final_max and
-    the last rungs keep shrinking; with an expected_deviation oracle each
-    rung must also stay within deviation_factor of it.  The monotone-tail
-    requirement can be waived for ladders whose signed deviation crosses
-    zero (the factorial prototype does, near rho* = 40).
+    the last rungs keep shrinking; with an expected_deviation oracle the
+    final rung and the decay rate must also stay within a factor 3 of it.
+    The monotone-tail requirement can be waived for ladders whose signed
+    deviation crosses zero (the factorial prototype does, near rho* = 40).
     """
     if which not in ("K", "E"):
         raise SpecError("which must be 'K' or 'E'")
+    deviation_factor = 3.0
     rep = VerificationReport(f"scan-{which}[{f.label}, psi={ray_psi:g}]",
                              final_max)
     devs = []

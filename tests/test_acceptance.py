@@ -73,7 +73,7 @@ def test_criterion1_prototype_closure(gamma0):
 
 def test_criterion2_moment_identity(gamma0, gamma1, theorem3_power):
     t0 = time.time()
-    reports = [verify_moments(f, 10, tolerance=1e-6)
+    reports = [verify_moments(f, 10)
                for f in (gamma0, gamma1, theorem3_power)]
     elapsed = time.time() - t0
     ok = all(r.passed for r in reports) and elapsed < 60.0

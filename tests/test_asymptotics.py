@@ -71,7 +71,7 @@ def test_E_asymptotic_annulus_warns(gamma0):
     z, _ = point_with_saddle_radius(gamma0, 60.0, 0.0)
     eps = 1.0
     z_band = LogSurfacePoint(z.log_r, math.pi / 2 * eps)
-    a = E_asymptotic(gamma0, z_band, delta=0.08)
+    a = E_asymptotic(gamma0, z_band)
     assert any("transition annulus" in w for w in a.warnings)
 
 

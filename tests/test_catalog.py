@@ -323,7 +323,7 @@ def test_audit_fails_square_exponent():
 def test_audit_flags_plain_gamma_near_origin(gamma0):
     # eps(rho) < 0 on (0, ~1.46): the unshifted prototype fails the
     # ray-positivity condition even though it is fine asymptotically
-    rep = audit_admissibility(gamma0, grid=np.geomspace(1.0, 1e7, 61))
+    rep = audit_admissibility(gamma0)
     assert rep.epsilon_min < 0
 
 

@@ -91,10 +91,12 @@ def test_verify_moments_exit_zero(capsys, tmp_path):
 
 
 def test_spec_error_exit_2(capsys):
-    code, out, err = run_cli(capsys, "eval-K", "--spec", '{"kind":"nope"}',
-                             "--at", "r=1")
-    assert code == 2
-    assert "spec error" in err and "nope" in err
+    for spec, word in [('{"kind":"nope"}', "nope"),
+                       ('{"kind":"gamma_shift","params":{"c":"x"}}', "'c'"),
+                       ('{"kind":"gamma_shift","params":{"c":NaN}}', "'c'")]:
+        code, out, err = run_cli(capsys, "eval-K", "--spec", spec, "--at", "r=1")
+        assert code == 2
+        assert "spec error" in err and word in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -103,6 +105,18 @@ def test_spec_error_exit_2(capsys):
     ("verify", "moments", "--n-max", "20"),
     ("verify", "carleman", "--n-terms", "10"),
     ("eval-K", "--at", "r=inf"),
+    ("eval-K", "--at", "r=abc"),
+    ("eval-K", "--grid", "r=1..x,n=3"),
+    ("eval-K", "--grid", "r=1..3,n=1.5"),
+    ("eval-K", "--at", "r=2", "--contour", "lalpha:abc"),
+    ("eval-K", "--at", "r=2,psi=0.3", "--contour", "lalpha:2,vertex=-0.5"),
+    ("eval-K", "--at", "r=2", "--contour", "lalpha:2,vertex=nan"),
+    ("eval-K", "--at", "r=2", "--contour", "vertical:nan"),
+    ("eval-K", "--at", "r=2", "--tol", "0"),
+    ("verify", "moments", "--n-max", "-1"),
+    ("verify", "positivity", "--t-points", "0"),
+    ("verify", "positivity", "--t-min", "0"),
+    ("verify", "positivity", "--t-max", "inf"),
 ])
 def test_bad_argument_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--spec", GAMMA)
@@ -202,4 +216,9 @@ def test_max_nodes_env(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "eval-K", "--spec", GAMMA,
                              "--at", "r=5,psi=0", "--format", "json")
     assert code == 0   # still converges well within 3000 nodes
+    for bad in ("abc", "0"):
+        monkeypatch.setenv("MELLIN_MAX_NODES", bad)
+        code, out, err = run_cli(capsys, "eval-K", "--spec", GAMMA,
+                                 "--at", "r=5,psi=0")
+        assert code == 2 and "spec error" in err, err
     monkeypatch.delenv("MELLIN_MAX_NODES")

@@ -1,4 +1,5 @@
 """tools/fingerprint.py compare, run as a script on hand-written dumps."""
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -68,3 +69,22 @@ def test_saddle_lines_move_and_raise(tmp_path):
     out = _compare(tmp_path, raised, SADDLE)
     assert out.returncode == 1, out.stdout + out.stderr
     assert "raise/return: solve gamma_shift0" in out.stdout
+
+
+CLI = [
+    "cli gamma_shift0 eval-K --grid r=2..10,n=3\t(0, 'a62aa97ee8103b4b')",
+    "cli iterated_log audit\t(0, '1281ad197ad71576')",
+]
+
+
+def test_cli_digest_counts_exit_code_fails(tmp_path):
+    # a changed stdout digest is counted, not a finding
+    moved = [CLI[0].replace("a62aa97ee8103b4b", "0000000000000000"), CLI[1]]
+    out = _compare(tmp_path, moved, CLI)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert re.search(r"^cli\s+1\s+1\s", out.stdout, re.M), out.stdout
+    # a changed exit code is
+    failed = [CLI[0], CLI[1].replace("(0,", "(1,")]
+    out = _compare(tmp_path, failed, CLI)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "exit code: cli iterated_log audit: 0 -> 1" in out.stdout

@@ -101,6 +101,15 @@ def test_K_bad_contour_params(gamma0):
         ContourSpec("vertical", c=-1.0)
     with pytest.raises(SpecError):
         ContourSpec("spiral")
+    # a vertex at or left of 0 puts the V across the pole at s = 0, and
+    # the integral would be off by its residue
+    for kw in ({"vertex": -0.5}, {"vertex": 0.0}, {"vertex": math.nan},
+               {"vertex": math.inf}):
+        with pytest.raises(SpecError):
+            ContourSpec("l_alpha", alpha=2.0, **kw)
+    for c in (0.0, math.nan, math.inf):
+        with pytest.raises(SpecError):
+            ContourSpec("vertical", c=c)
 
 
 def test_K_error_estimates_honest(gamma0):

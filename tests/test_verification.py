@@ -9,6 +9,7 @@ from mellin_saddle import (build_positive_type, ell_exp_sqrt_log, ell_power,
                            positive_type_iterated_log, scan_ratio,
                            verify_carleman, verify_moments, verify_positivity,
                            verify_theorem3_limits)
+from mellin_saddle.errors import SpecError
 
 
 def test_moments_gate_prototype(gamma0):
@@ -28,8 +29,16 @@ def test_moments_shifted(gamma1):
 
 
 def test_moments_rejects_large_order(gamma0):
-    with pytest.raises(ValueError):
-        verify_moments(gamma0, 16)
+    # n_max = -1 would pass with no case at all
+    for n_max in (16, -1):
+        with pytest.raises(SpecError):
+            verify_moments(gamma0, n_max)
+
+
+@pytest.mark.parametrize("grid", [[], [0.0, 1.0]])
+def test_positivity_rejects_bad_grid(factorial_measure, grid):
+    with pytest.raises(SpecError):
+        verify_positivity(factorial_measure, grid)
 
 
 def test_positivity_factorial_measure(factorial_measure):

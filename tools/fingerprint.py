@@ -15,7 +15,11 @@ alpha in {0.5, pi/2, 2.5}, with payload repr(psi).  Two more saddle kinds
 follow: point_with_saddle_radius on the four weights at rho* in
 {10, 35, 100} and psi in {0, 0.9, -1.5}, with payload
 repr((log_r, psi, s)), and local_gaussian_saddle at the 36 solve points,
-with payload repr(value): 334 lines in all.
+with payload repr(value).  Last come 11 command-line runs of
+mellin_saddle.cli.main on the same weights (eval-K, eval-E, table K and
+E, saddle, asym-K, boundary, audit, verify carleman, theorem3-limits and
+scan-K), with payload repr((exit code, first 16 hex digits of the sha256
+of stdout)): 345 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -23,7 +27,9 @@ lines also a flipped converged flag and a value that moved outside the
 sum of both error bars.  Then, per evaluator, the node sums and the counts
 of changed and byte-identical lines, and the largest change of a value
 relative to its two bars; per saddle kind, which carries no bar, the
-counts and the largest relative move of a number, which is not a finding.
+counts and the largest relative move of a number, which is not a finding;
+for the command-line runs, a changed exit code is a finding and a changed
+digest is counted.
 
     PYTHONPATH=src python tools/fingerprint.py dump > after.txt
     PYTHONPATH=<other checkout>/src python tools/fingerprint.py dump > before.txt
@@ -34,6 +40,10 @@ fingerprints any checkout.
 """
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import json
 import math
 import re
 import sys
@@ -58,6 +68,23 @@ RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "boundary_psi", "point_with_saddle_radius",
             "local_gaussian_saddle")     # saddle kinds: no error bar
+NO_BAR = UNBARRED + ("cli",)
+# (weight or None, argv after the verb's --spec) per command-line run
+CLI_RUNS = (
+    ("gamma_shift0", ("eval-K", "--grid", "r=2..10,n=3,psi=0..2.5:3")),
+    ("iterated_log", ("eval-E", "--grid", "r=2..10,n=3,psi=1")),
+    ("gamma_shift1", ("table", "--which", "K", "--grid", "r=20..40,n=3,psi=0.5")),
+    ("theorem3", ("table", "--which", "E", "--grid", "r=5..10,n=2,psi=0")),
+    ("iterated_log", ("saddle", "--grid", "r=2..10,n=3,psi=0..2.5:3")),
+    ("theorem3", ("asym-K", "--grid", "r=5..50,n=3,psi=0.5")),
+    ("gamma_shift0", ("boundary", "--grid", "r=2..10,n=3",
+                      "--alpha", "1.5707963267948966")),
+    ("iterated_log", ("audit",)),
+    ("gamma_shift1", ("verify", "carleman", "--n-terms", "20000")),
+    (None, ("verify", "theorem3-limits")),
+    ("gamma_shift0", ("verify", "scan-K", "--psi", "0.7",
+                      "--rho-targets", "20", "40", "80")),
+)
 
 
 def _evaluated(res):
@@ -74,6 +101,16 @@ def _solved(sol_tag):
 def _placed(z_s):
     z, s = z_s
     return repr((z.log_r, z.psi, s))
+
+
+def _cli_run(argv):
+    from mellin_saddle.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return repr((code, hashlib.sha256(out.getvalue().encode()).hexdigest()[:16]))
 
 
 def calls():
@@ -130,6 +167,10 @@ def calls():
                 out.append((f"local_gaussian_saddle {name} r={r:g} psi={psi:g}",
                             lambda f=f, z=z:
                             repr(ms.local_gaussian_saddle(f, z))))
+    for name, argv in CLI_RUNS:
+        spec = () if name is None else ("--spec", json.dumps(WEIGHTS[name]))
+        out.append((f"cli {name or '-'} {' '.join(argv)}",
+                    lambda argv=argv + spec: _cli_run(argv)))
     return out
 
 
@@ -185,7 +226,8 @@ def _move(a, b):
 def compare(path_a, path_b, stream=sys.stdout):
     """Report how dump B differs from dump A; returns the number of
     findings (raise/return changes, exception class changes, flag flips,
-    values outside both bars, and labels present on one side only)."""
+    values outside both bars, changed exit codes, and labels present on
+    one side only)."""
     a, b = _parse(path_a), _parse(path_b)
     findings = 0
     for label in sorted(set(a) ^ set(b)):
@@ -199,7 +241,7 @@ def compare(path_a, path_b, stream=sys.stdout):
     for label in [k for k in a if k in b]:
         ev = label.split(" ", 1)[0]
         (ta, ra), (tb, rb) = a[label], b[label]
-        if ev not in UNBARRED:
+        if ev not in NO_BAR:
             nodes[ev][0] += ra[2] if ra else 0
             nodes[ev][1] += rb[2] if rb else 0
         raised += ra is None and rb is None
@@ -213,6 +255,10 @@ def compare(path_a, path_b, stream=sys.stdout):
         elif ra is None:
             if ta.split(":", 1)[0] != tb.split(":", 1)[0]:
                 print(f"exception class: {label}: {ta} -> {tb}", file=stream)
+                findings += 1
+        elif ev == "cli":
+            if ra[0] != rb[0]:
+                print(f"exit code: {label}: {ra[0]} -> {rb[0]}", file=stream)
                 findings += 1
         elif ev in UNBARRED:
             moves[ev] = max(moves[ev], _move(ra, rb))
@@ -229,15 +275,15 @@ def compare(path_a, path_b, stream=sys.stdout):
     kinds = sorted(set(changed) | set(same))
     print(f"{'evaluator':<12}{'nodes A':>12}{'nodes B':>12}"
           f"{'changed':>9}{'same':>6}", file=stream)
-    for ev in [k for k in kinds if k not in UNBARRED]:
+    for ev in [k for k in kinds if k not in NO_BAR]:
         print(f"{ev:<12}{nodes[ev][0]:>12,}{nodes[ev][1]:>12,}"
               f"{changed[ev]:>9}{same[ev]:>6}", file=stream)
     print(f"largest change / sum of both bars: {worst:.3g}", file=stream)
-    print(f"{'saddle':<26}{'changed':>9}{'same':>6}  largest relative move",
+    print(f"{'saddle, cli':<26}{'changed':>9}{'same':>6}  largest relative move",
           file=stream)
-    for ev in [k for k in kinds if k in UNBARRED]:
-        print(f"{ev:<26}{changed[ev]:>9}{same[ev]:>6}  {moves[ev]:.3g}",
-              file=stream)
+    for ev in [k for k in kinds if k in NO_BAR]:
+        move = "-" if ev == "cli" else f"{moves[ev]:.3g}"
+        print(f"{ev:<26}{changed[ev]:>9}{same[ev]:>6}  {move}", file=stream)
     print(f"lines raising on both sides: {raised}; findings: {findings}",
           file=stream)
     return findings
