@@ -16,6 +16,7 @@ from mellin_saddle import (E_asymptotic, K_asymptotic, eval_growth_sum,
                            eval_K, gamma_shift, iterated_log,
                            local_gaussian_reference, local_gaussian_saddle,
                            point_with_saddle_radius, solve)
+from mellin_saddle.verification import deviation
 
 g = gamma_shift(0.0)
 
@@ -25,16 +26,14 @@ for rho in (10.0, 20.0, 40.0, 80.0, 160.0):
     z, _ = point_with_saddle_radius(g, rho, 0.0)
     num = eval_K(g, z)
     asym = K_asymptotic(g, z)
-    ratio = num.value * math.exp(num.log_scale - asym.log_scale) / asym.value
-    print(f"{rho:8.0f} {abs(ratio-1):12.3e} {1/(12*rho):12.3e}")
+    print(f"{rho:8.0f} {deviation(num, asym):12.3e} {1/(12*rho):12.3e}")
 
 print("\ngrowth side, factorial weight (z E + 1/g(0) vs its form):")
 for rho in (10.0, 40.0, 160.0, 640.0):
     z, _ = point_with_saddle_radius(g, rho, 0.0)
     num = eval_growth_sum(g, z)
     asym = E_asymptotic(g, z)
-    ratio = num.value * math.exp(num.log_scale - asym.log_scale) / asym.value
-    print(f"  rho_z={rho:6.0f}: |ratio-1| = {abs(ratio-1):.3e}")
+    print(f"  rho_z={rho:6.0f}: |ratio-1| = {deviation(num, asym):.3e}")
 
 il = iterated_log(1.0, 1.0, 1, math.e)
 print(f"\ndecay side for {il.label} (slow o(1) ~ eps ~ 1/log rho):")
@@ -43,9 +42,8 @@ for rho in (3750.0, 15000.0, 60000.0):
     z, _ = point_with_saddle_radius(il, rho, 0.0)
     num = eval_K(il, z)
     asym = K_asymptotic(il, z)
-    ratio = num.value * math.exp(num.log_scale - asym.log_scale) / asym.value
     print(f"{rho:8.0f} {math.exp(z.log_r):8.2f} {num.magnitude_log:14.1f} "
-          f"{abs(ratio-1):12.4f}")
+          f"{deviation(num, asym):12.4f}")
 
 print("\nlocal model: the chord integral through the saddle against")
 print("i sqrt(2 pi s/eps) e^{-s eps} (both sides at the same s_z):")

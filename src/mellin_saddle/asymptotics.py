@@ -44,11 +44,6 @@ class AsymptoticValue:
     region: RegionTag
     warnings: List[str] = field(default_factory=list)
 
-    @property
-    def magnitude_log(self) -> float:
-        a = abs(self.value)
-        return (math.log(a) if a > 0 else -math.inf) + self.log_scale
-
 
 def _split_scale(logval: complex, region: RegionTag, warnings) -> AsymptoticValue:
     re, im = logval.real, logval.imag

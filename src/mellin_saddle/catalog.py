@@ -78,7 +78,6 @@ class AdmissibleFunction:
         self.alpha0 = float(alpha0)
         self.positive_type = bool(positive_type)
         self.degenerate = bool(degenerate)
-        self.spec = None            # the FunctionSpec, set by build
         self._jet_fn = jet_fn
         self._phi_log_fn = phi_log_fn
         self._one_over_gamma0 = None
@@ -188,19 +187,11 @@ class AdmissibleFunction:
                        / np.real(self.epsilon(rho + 0j)))
             fan = min(0.5 * math.pi, self.alpha0 - 0.1)
             thetas = np.linspace(-fan, fan, 5)
-            c = np.empty_like(rho)
-            for i, r in enumerate(rho):
-                e0 = complex(self.epsilon(r + 0j))
-                ef = self.epsilon(r * np.exp(1j * thetas))
-                c[i] = float(np.max(np.abs(ef / e0 - 1.0)))
+            c = np.array([_angular_spread(self, r, thetas) for r in rho])
             ok = (b < 0.2) & (c < 0.2)
             # first index from which every later grid point stays ok
-            idx = len(rho)
-            for i in range(len(rho) - 1, -1, -1):
-                if ok[i]:
-                    idx = i
-                else:
-                    break
+            bad = np.nonzero(~ok)[0]
+            idx = bad[-1] + 1 if bad.size else 0
             if idx >= len(rho):
                 self._rho0 = float(rho[-1])
             elif idx == 0:
@@ -214,6 +205,13 @@ class AdmissibleFunction:
     def __repr__(self):
         return (f"AdmissibleFunction({self.label!r}, c_gamma={self.c_gamma:.4g}, "
                 f"alpha0={self.alpha0:.4g})")
+
+
+def _angular_spread(f: AdmissibleFunction, rho, thetas) -> float:
+    """Condition (C) at one radius: max |eps(rho e^{i theta})/eps(rho) - 1|
+    over the fan of angles thetas."""
+    e0 = complex(f.epsilon(rho + 0j))
+    return float(np.max(np.abs(f.epsilon(rho * np.exp(1j * thetas)) / e0 - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +493,16 @@ def _cauchy_jet(s, q, i, order, ab=None):
                 if order >= 2 else None)
 
 
+def _gauss_panels(edges):
+    """Nodes and weights of 15-point Gauss-Legendre on each panel
+    [edges[i], edges[i+1]], flattened panel by panel."""
+    x, w = np.polynomial.legendre.leggauss(15)
+    half = 0.5 * np.diff(edges)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
+            (half[:, None] * w[None, :]).ravel())
+
+
 class _CauchyKernelGrid:
     """Fixed quadrature grids for integrals int f(u) (u+s)^{-m} du, m = 1..3.
 
@@ -515,12 +523,7 @@ class _CauchyKernelGrid:
         if s_cover not in self._grids:
             v_max = math.log(s_cover / self.c) + 45.0
             n_panels = max(8, int(math.ceil(v_max / 0.5)))
-            x, w = np.polynomial.legendre.leggauss(15)
-            edges = np.linspace(0.0, v_max, n_panels + 1)
-            half = 0.5 * np.diff(edges)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            v = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-            wv = (half[:, None] * w[None, :]).ravel()
+            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
             u = self.c * np.exp(v)
             self._grids[s_cover] = (u, wv * self._weight_at(u))
         return self._grids[s_cover]
@@ -626,17 +629,13 @@ def _tail_closed_forms(s, cut, k1, k2, saw, count):
 
 
 def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
-    edges = _positive_type_edges(spec)
-    x, w = np.polynomial.legendre.leggauss(15)
-    half = 0.5 * np.diff(edges)
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    u = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    u, w = _gauss_panels(_positive_type_edges(spec))
     m = np.asarray(spec.measure_density(u), dtype=float)
     if np.any(m < -1e-12):
         bad = u[int(np.argmin(m))]
         raise BuildError(f"{spec.label}: measure density negative near u = {bad:.6g}")
     m = np.maximum(m, 0.0)
-    wts = (half[:, None] * w[None, :]).ravel() * m
+    wts = w * m
     mass_check = float(np.sum(wts / (u + 1.0)))
     if not math.isfinite(mass_check):
         raise BuildError(f"{spec.label}: int m/(u+1) du is not finite")
@@ -738,10 +737,12 @@ _POSITIVE_PRESETS = {
 # ---------------------------------------------------------------------------
 
 def _number(conv, raw, what):
-    """conv(raw), or SpecError naming what unless that is a finite number."""
+    """conv(raw), or SpecError naming what unless that is a finite number;
+    int takes a string or an integral number, and truncates nothing."""
     try:
         x = conv(raw)
-        if math.isfinite(x):
+        if math.isfinite(x) and (conv is not int or isinstance(raw, str)
+                                 or x == raw):
             return x
     except (TypeError, ValueError, OverflowError):
         pass
@@ -823,11 +824,9 @@ def build(spec: FunctionSpec) -> AdmissibleFunction:
     """Construct the weight described by a FunctionSpec tree."""
     kids = [build(c) for c in spec.children]
     try:
-        f = _KINDS[spec.kind][1](spec.params, kids)
+        return _KINDS[spec.kind][1](spec.params, kids)
     except KeyError as e:
         raise SpecError(f"kind {spec.kind!r} is missing parameter {e}") from e
-    f.spec = spec
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -910,9 +909,7 @@ def audit_admissibility(f: AdmissibleFunction) -> AuditReport:
     # (C): angular stability of eps at the far end of the grid
     rho_max = grid[-1]
     thetas = np.linspace(-(f.alpha0 - 0.1), f.alpha0 - 0.1, 9)
-    e0 = complex(f.epsilon(rho_max + 0j))
-    fan = f.epsilon(rho_max * np.exp(1j * thetas))
-    spread = float(np.max(np.abs(fan / e0 - 1.0)))
+    spread = _angular_spread(f, rho_max, thetas)
     cond_c = AuditCondition(
         "C: eps stable across the angle fan", spread,
         angular_spread_max, spread < angular_spread_max,

@@ -178,7 +178,8 @@ def _points(args) -> List[LogSurfacePoint]:
     raise SpecError("need --grid or --at")
 
 
-def _run_eval(args, which: str) -> int:
+def _run_eval(args) -> int:
+    which = args.verb
     f = build(_load_spec(args.spec))
     tols = _tolerances(args)
     contour = parse_contour(getattr(args, "contour", None))
@@ -280,19 +281,19 @@ def _run_table(args) -> int:
                "asym_log_scale": math.nan, "ratio_abs_dev": math.nan,
                "region": region}
         if asym is not None and abs(asym.value) > 0:
-            ratio = (num.value * math.exp(num.log_scale - asym.log_scale)
-                     / asym.value)
             row.update(asym_re=asym.value.real, asym_im=asym.value.imag,
                        asym_log_scale=asym.log_scale,
-                       ratio_abs_dev=abs(ratio - 1.0))
+                       ratio_abs_dev=verification.deviation(num, asym))
         rows.append(row)
     _emit(rows, TABLE_COLUMNS, args)
     return 0
 
 
 def _run_verify(args) -> int:
-    tols = _tolerances(args)
     suite = args.suite
+    if suite != "theorem3-limits" and not args.spec:
+        raise SpecError(f"verify {suite} needs --spec")
+    tols = _tolerances(args)
     f = None if suite == "theorem3-limits" else build(_load_spec(args.spec))
     if suite == "moments":
         rep = verification.verify_moments(f, args.n_max, tol=tols)
@@ -309,13 +310,11 @@ def _run_verify(args) -> int:
         ell = _preset(_ELL_PRESETS, args.ell, "ell")({"a": args.ell_a,
                                                       "c": args.ell_c})
         rep = verification.verify_theorem3_limits(ell)
-    elif suite in ("scan-K", "scan-E"):
+    else:  # scan-K or scan-E
         rep = verification.scan_ratio(
             f, suite[-1], args.psi, args.rho_targets,
             final_max=args.final_max,
             require_monotone_tail=not args.waive_monotone_tail, tol=tols)
-    else:
-        raise SpecError(f"unknown verify suite {suite!r}")
     _write(rep.to_json() + "\n", args.out)
     return 0 if rep.passed else 1
 
@@ -333,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, grid=True):
+    def common(sp, run, grid=True):
+        sp.set_defaults(run=run)
         sp.add_argument("--spec", "-s", required=True,
                         help="weight spec: JSON file path or inline JSON")
         if grid:
@@ -345,30 +345,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     for verb in ("eval-K", "eval-E", "asym-K", "asym-E"):
         sp = sub.add_parser(verb)
-        common(sp)
+        common(sp, _run_eval)
         if verb == "eval-K":
             sp.add_argument("--contour",
                             help="lalpha:ALPHA[,vertex=V] or vertical:C")
     sp = sub.add_parser("abel-plana")
-    common(sp)
+    common(sp, _run_eval)
     sp.add_argument("--sigma0", type=float, default=None)
 
     sp = sub.add_parser("saddle")
-    common(sp)
+    common(sp, _run_saddle)
 
     sp = sub.add_parser("moment")
-    common(sp, grid=False)
+    common(sp, _run_moment, grid=False)
     sp.add_argument("--n", type=int, nargs="+", required=True)
 
     sp = sub.add_parser("boundary")
-    common(sp)
+    common(sp, _run_boundary)
     sp.add_argument("--alpha", type=float, required=True)
 
     sp = sub.add_parser("table")
-    common(sp)
+    common(sp, _run_table)
     sp.add_argument("--which", choices=("K", "E"), required=True)
 
     sp = sub.add_parser("verify")
+    sp.set_defaults(run=_run_verify)
     sp.add_argument("suite", choices=("moments", "positivity", "carleman",
                                       "theorem3-limits", "scan-K", "scan-E"))
     sp.add_argument("--spec", "-s", help="weight spec (JSON path or inline)")
@@ -390,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accept ladders whose signed deviation crosses zero")
 
     sp = sub.add_parser("audit")
+    sp.set_defaults(run=_run_audit)
     sp.add_argument("--spec", "-s", required=True)
     sp.add_argument("--out")
     return p
@@ -402,23 +404,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        if args.verb in ("eval-K", "eval-E", "asym-K", "asym-E", "abel-plana"):
-            return _run_eval(args, args.verb)
-        if args.verb == "saddle":
-            return _run_saddle(args)
-        if args.verb == "moment":
-            return _run_moment(args)
-        if args.verb == "boundary":
-            return _run_boundary(args)
-        if args.verb == "table":
-            return _run_table(args)
-        if args.verb == "verify":
-            if args.suite != "theorem3-limits" and not args.spec:
-                raise SpecError(f"verify {args.suite} needs --spec")
-            return _run_verify(args)
-        if args.verb == "audit":
-            return _run_audit(args)
-        raise SpecError(f"unhandled verb {args.verb!r}")
+        return args.run(args)
     except SpecError as e:
         print(f"spec error: {e} (input: {' '.join(argv or sys.argv[1:])})",
               file=sys.stderr)

@@ -52,9 +52,6 @@ class Jet2:
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, Jet2):
             n = self.order
@@ -78,12 +75,7 @@ class Jet2:
                     (2.0 * g * g - self.d2 * inv) * inv if n >= 2 else None)
 
     def __truediv__(self, other):
-        if isinstance(other, Jet2):
-            return self * other.reciprocal()
-        return self * (1.0 / other)
-
-    def __rtruediv__(self, other):
-        return self.reciprocal() * other
+        return self * other.reciprocal()
 
     def log(self) -> "Jet2":
         n = self.order
@@ -96,12 +88,6 @@ class Jet2:
         n = self.order
         return Jet2(e, e * self.d1 if n >= 1 else None,
                     e * (self.d2 + self.d1 * self.d1) if n >= 2 else None)
-
-    def pow(self, p) -> "Jet2":
-        """self**p for a constant exponent, via exp(p*log) off the cut."""
-        if p == 1:
-            return self
-        return (self.log() * p).exp()
 
     def __repr__(self):
         return f"Jet2(val={self.val!r}, d1={self.d1!r}, d2={self.d2!r})"

@@ -51,12 +51,7 @@ class SaddleSolution:
     theta_z: float
     residual: float
     iterations: int
-    log_rho_z: float = math.nan
-
-    def __post_init__(self):
-        if math.isnan(self.log_rho_z):
-            object.__setattr__(self, "log_rho_z",
-                               math.log(self.rho_z) if self.rho_z > 0 else -math.inf)
+    log_rho_z: float
 
 
 @dataclass(frozen=True)
@@ -204,8 +199,8 @@ def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
 
 
 @_memoized
-def _continue(f: AdmissibleFunction, x: float, log_z: complex,
-              rel_tol: float) -> Optional[SaddleSolution]:
+def _continue(f: AdmissibleFunction, x: float,
+              log_z: complex) -> Optional[SaddleSolution]:
     """Continue the ray root x to the saddle of log_z = log r + i psi.
 
     Steps of psi start near 0.25 |dPhi/dw| (theta_z then moves about
@@ -215,7 +210,7 @@ def _continue(f: AdmissibleFunction, x: float, log_z: complex,
     """
     psi = log_z.imag
     edge = f.alpha0 - _EDGE_DELTA
-    tol_resid = rel_tol * (1.0 + abs(log_z))
+    tol_resid = _ROOT_TOL * (1.0 + abs(log_z))
     w = complex(x)
     phi, dphi = _phi_w(f, w)
     resid = abs(phi - log_z)
@@ -242,7 +237,7 @@ def _continue(f: AdmissibleFunction, x: float, log_z: complex,
                     f"{f.label}: continuation breakdown toward psi={psi:.6g}",
                     last_t=t, last_s=_exp_w(w)[0])
     s_z, rho = _exp_w(w)
-    return SaddleSolution(s_z, rho, w.imag, resid, total_iters, log_rho_z=w.real)
+    return SaddleSolution(s_z, rho, w.imag, resid, total_iters, w.real)
 
 
 def _ray_in_range(f: AdmissibleFunction, log_r: float) -> float:
@@ -291,7 +286,7 @@ def solve(f: AdmissibleFunction, z: LogSurfacePoint
     """
     rho0_used = f.default_rho0()
     x = _ray_in_range(f, z.log_r)
-    return _tagged(f, _continue(f, x, z.log_z, _ROOT_TOL), rho0_used)
+    return _tagged(f, _continue(f, x, z.log_z), rho0_used)
 
 
 def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint
@@ -299,7 +294,7 @@ def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint
     """Like solve(), also for saddle radii past the double range, where
     rho_z is inf and log_rho_z carries the radius; tagged against rho0 = 1."""
     x = _ray_root(f, z.log_r, _ROOT_TOL)
-    return _tagged(f, _continue(f, x, z.log_z, _ROOT_TOL), 1.0)
+    return _tagged(f, _continue(f, x, z.log_z), 1.0)
 
 
 def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float) -> RegionTag:
@@ -352,7 +347,7 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
                 raise NoSaddleError(f"{f.label}: the level curve of log_r = "
                                     f"{log_r:.6g} ends at theta = {theta:.6g}")
     psi = phi.imag
-    sol = _continue(f, x, complex(log_r, psi), _ROOT_TOL)
+    sol = _continue(f, x, complex(log_r, psi))
     if sol is None or not abs(sol.theta_z - alpha) <= 1e-8:
         raise NoSaddleError(f"{f.label}: the saddle of psi = {psi:.6g} at "
                             f"log_r = {log_r:.6g} is not at alpha")

@@ -45,10 +45,6 @@ class LogSurfacePoint:
         return cls(math.log(abs(z)), math.atan2(z.imag, z.real))
 
     @property
-    def r(self) -> float:
-        return math.exp(self.log_r)
-
-    @property
     def log_z(self) -> complex:
         return complex(self.log_r, self.psi)
 

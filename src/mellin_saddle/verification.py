@@ -9,6 +9,7 @@ give byte-identical output.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -222,6 +223,21 @@ def verify_theorem3_limits(ell: SlowlyVaryingEll) -> VerificationReport:
     return rep
 
 
+def deviation(num, asym) -> float:
+    """|num / asym - 1| for two values carried as value * e^log_scale; inf
+    only where the ratio leaves the double range."""
+    d = num.log_scale - asym.log_scale
+    if not d > 700.0:
+        return abs(num.value * math.exp(d) / asym.value - 1.0)
+    if num.value == 0:
+        return 1.0
+    try:        # scales more than e^700 apart: divide in logs
+        return abs(cmath.exp(cmath.log(num.value) - cmath.log(asym.value) + d)
+                   - 1.0)
+    except OverflowError:
+        return math.inf
+
+
 def scan_ratio(f: AdmissibleFunction, which: str, ray_psi: float,
                rho_targets: Sequence[float], *,
                final_max: float = 0.05,
@@ -257,9 +273,7 @@ def scan_ratio(f: AdmissibleFunction, which: str, ray_psi: float,
                                  note=f"region {asym.region.kind}, growth form "
                                       "not applicable on this ray")
                     continue
-            ratio = (num.value * math.exp(num.log_scale - asym.log_scale)
-                     / asym.value)
-            dev = abs(ratio - 1.0)
+            dev = deviation(num, asym)
             devs.append((float(rho_star), dev))
             note = "" if num.converged else "numeric unconverged; "
             if expected_deviation is not None:

@@ -93,7 +93,10 @@ def test_verify_moments_exit_zero(capsys, tmp_path):
 def test_spec_error_exit_2(capsys):
     for spec, word in [('{"kind":"nope"}', "nope"),
                        ('{"kind":"gamma_shift","params":{"c":"x"}}', "'c'"),
-                       ('{"kind":"gamma_shift","params":{"c":NaN}}', "'c'")]:
+                       ('{"kind":"gamma_shift","params":{"c":NaN}}', "'c'"),
+                       ('{"kind":"iterated_log","params":{"k":1.5}}', "'k'"),
+                       ('{"kind":"positive_type","params":{"cut":400.7}}',
+                        "'cut'")]:
         code, out, err = run_cli(capsys, "eval-K", "--spec", spec, "--at", "r=1")
         assert code == 2
         assert "spec error" in err and word in err
@@ -186,6 +189,38 @@ def test_table_verb(capsys):
     assert len(rows) == 3
     for row in rows:
         assert float(row["ratio_abs_dev"]) < 0.01
+
+
+@pytest.mark.parametrize("spec,which,at,dev", [
+    # numeric and asymptotic scales e^932 apart: the ratio leaves the
+    # double range
+    ('{"kind":"iterated_log","params":{}}', "E",
+     "r=11.805271574845259,psi=0.05962656511194986", math.inf),
+    # outside K's region, and outside E's growth region: no asymptotic form
+    (GAMMA, "K", "r=3,psi=2.9", math.nan),
+    (GAMMA, "E", "r=30,psi=2.5", math.nan),
+])
+def test_table_rows_without_a_finite_ratio(capsys, spec, which, at, dev):
+    code, out, err = run_cli(capsys, "table", "--spec", spec, "--which", which,
+                             "--at", at)
+    assert code == 0, err
+    row = next(csv.DictReader(io.StringIO(out)))
+    got = float(row["ratio_abs_dev"])
+    if math.isnan(dev):
+        assert math.isnan(got) and math.isnan(float(row["asym_re"]))
+    else:
+        assert got == dev and math.isfinite(float(row["asym_re"]))
+
+
+def test_moment_verb(capsys):
+    code, out, err = run_cli(capsys, "moment", "--spec", GAMMA, "--n", "1", "2",
+                             "3")
+    assert code == 0, err
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["n"] for r in rows] == ["1", "2", "3"]
+    for r, want in zip(rows, (1.0, 2.0, 6.0)):
+        got = float(r["value_re"]) * math.exp(float(r["log_scale"]))
+        assert got == pytest.approx(want, rel=1e-10)
 
 
 def test_asym_verbs(capsys):

@@ -27,16 +27,6 @@ def test_jet_composition(s0):
     _fd_check(fn, jet_of, s0)
 
 
-def test_jet_pow_non_integer():
-    def fn(s):
-        return np.power(s + 4, 1.7)
-
-    def jet_of(s):
-        return (Jet2.variable(s) + 4).pow(1.7)
-
-    _fd_check(fn, jet_of, 1.3 + 0.2j)
-
-
 def test_jet_vectorized():
     s = np.array([1.0 + 1j, 2.0, 3.0 - 0.5j])
     j = (Jet2.variable(s) * 2 + 1).log()
@@ -57,7 +47,8 @@ def test_jet_reciprocal_identity():
 def test_jet_order_truncates_bit_identically(s):
     def jet_of(order):
         v = Jet2.variable(s, order)
-        return ((v * v + 1) / (v + 5)).exp() * (v + 5).log() - (v + 4).pow(1.7) * 2
+        return (((v * v + 1) / (v + 5)).exp() * (v + 5).log()
+                - ((v + 4).log() * 1.7).exp() * 2)
 
     full, j0, j1 = jet_of(2), jet_of(0), jet_of(1)
     assert (j0.order, j1.order, full.order) == (0, 1, 2)

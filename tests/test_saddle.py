@@ -11,7 +11,7 @@ from mellin_saddle import (E_asymptotic, K_asymptotic, LogSurfacePoint,
                            NoSaddleError, SpecError, boundary_psi,
                            build_theorem3, classify, ell_power, exp_scale,
                            gamma_shift, iterated_log, point_with_saddle_radius,
-                           solve, solve_real)
+                           power, product, quotient, solve, solve_real)
 from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
 
@@ -410,6 +410,19 @@ def test_ray_root_far_past_the_jet():
     assert lam == pytest.approx(2.688117e43, rel=1e-6)
     p, _ = f.phi_log(np.array([complex(lam)]))
     assert complex(p[0]).real == pytest.approx(100.0, abs=1e-8)
+
+
+def test_composites_far_past_the_jet():
+    # the power, product and quotient weights' own far forms of Phi:
+    # il^2 and il*il have Phi = 2 Phi_il, and gamma(s+1) il / il has Phi =
+    # w past the jet
+    il = iterated_log()
+    x = solve_real_log(il, 20.0)
+    assert x > 300.0
+    assert solve_real_log(power(il, 2.0), 40.0) == x
+    assert solve_real_log(product(il, il), 40.0) == x
+    f = quotient(product(gamma_shift(1.0), il), il)
+    assert solve_real_log(f, 400.0) == 400.0
 
 
 def test_ray_bracket_stops_at_the_jet_cut():
