@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ _EULER_GAMMA = 0.5772156649015328606
 # (Phi, dPhi/dw) would converge only linearly; the cut keeps a margin.
 _JET_LOG_RADIUS = 300.0
 
-# iterated-log zero ladder: log_k(x) = 0 at x = _LOGK_UNIT[k]
+# iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
 def _logk_unit(k: int) -> float:
     x = 1.0
@@ -80,9 +81,6 @@ class AdmissibleFunction:
         self.degenerate = bool(degenerate)
         self._jet_fn = jet_fn
         self._phi_log_fn = phi_log_fn
-        self._one_over_gamma0 = None
-        self._rho0 = None
-        self._eps_probe = None
         self._saddle_memo = {}      # saddle._memoized: call -> result
 
     # -- evaluation ---------------------------------------------------------
@@ -150,27 +148,25 @@ class AdmissibleFunction:
 
     # -- cached metadata ------------------------------------------------------
 
-    @property
+    @cached_property
     def one_over_gamma0(self) -> float:
         """1/gamma(0+), with 0 for weights blowing up at the origin."""
-        if self._one_over_gamma0 is None:
-            lg6 = complex(self.log_gamma(1e-6 + 0j))
-            lg8 = complex(self.log_gamma(1e-8 + 0j))
-            if lg8.real - lg6.real > 2.0:
-                self._one_over_gamma0 = 0.0
-            else:
-                self._one_over_gamma0 = float(np.exp(-lg6).real)
-        return self._one_over_gamma0
+        lg6 = complex(self.log_gamma(1e-6 + 0j))
+        lg8 = complex(self.log_gamma(1e-8 + 0j))
+        if lg8.real - lg6.real > 2.0:
+            return 0.0
+        return float(np.exp(-lg6).real)
+
+    @cached_property
+    def _eps_probe(self):
+        # eps on 61 log-spaced radii in [1, 1e6]; [40:] spans [1e4, 1e6]
+        return np.real(self.epsilon(np.geomspace(1.0, 1e6, 61) + 0j))
 
     def epsilon_sup(self) -> float:
         """sup of eps over a log grid on [1, 1e6]; proxy for limsup estimates."""
-        if self._eps_probe is None:
-            rho = np.geomspace(1.0, 1e6, 61)
-            self._eps_probe = np.real(self.epsilon(rho + 0j))
         return float(np.max(self._eps_probe))
 
     def epsilon_limsup_estimate(self) -> float:
-        self.epsilon_sup()      # fills the probe; [40:] spans [1e4, 1e6]
         return float(np.max(self._eps_probe[40:]))
 
     def default_rho0(self) -> float:
@@ -181,26 +177,27 @@ class AdmissibleFunction:
         radius gates the growth/decay region split, which happens at
         angles near pi/2; the full-sector fan belongs to the audit.
         """
-        if self._rho0 is None:
-            rho = np.geomspace(1.0, 1e6, 31)
-            b = np.abs(rho * np.real(self.epsilon_prime(rho + 0j))
-                       / np.real(self.epsilon(rho + 0j)))
-            fan = min(0.5 * math.pi, self.alpha0 - 0.1)
-            thetas = np.linspace(-fan, fan, 5)
-            c = np.array([_angular_spread(self, r, thetas) for r in rho])
-            ok = (b < 0.2) & (c < 0.2)
-            # first index from which every later grid point stays ok
-            bad = np.nonzero(~ok)[0]
-            idx = bad[-1] + 1 if bad.size else 0
-            if idx >= len(rho):
-                self._rho0 = float(rho[-1])
-            elif idx == 0:
-                self._rho0 = float(rho[0])
-            else:
-                # strictly below the first certified point, so that point
-                # itself already counts as interior
-                self._rho0 = float(math.sqrt(rho[idx - 1] * rho[idx]))
         return self._rho0
+
+    @cached_property
+    def _rho0(self) -> float:
+        rho = np.geomspace(1.0, 1e6, 31)
+        b = np.abs(rho * np.real(self.epsilon_prime(rho + 0j))
+                   / np.real(self.epsilon(rho + 0j)))
+        fan = min(0.5 * math.pi, self.alpha0 - 0.1)
+        thetas = np.linspace(-fan, fan, 5)
+        c = np.array([_angular_spread(self, r, thetas) for r in rho])
+        ok = (b < 0.2) & (c < 0.2)
+        # first index from which every later grid point stays ok
+        bad = np.nonzero(~ok)[0]
+        idx = bad[-1] + 1 if bad.size else 0
+        if idx >= len(rho):
+            return float(rho[-1])
+        if idx == 0:
+            return float(rho[0])
+        # strictly below the first certified point, so that point itself
+        # already counts as interior
+        return float(math.sqrt(rho[idx - 1] * rho[idx]))
 
     def __repr__(self):
         return (f"AdmissibleFunction({self.label!r}, c_gamma={self.c_gamma:.4g}, "
@@ -294,11 +291,40 @@ def shift_normalize(child: AdmissibleFunction, c: float) -> AdmissibleFunction:
     def jet_fn(s, order):
         return child.jet(s + c, order) - lg_c
 
-    phi_log_fn = None
-    if child.has_log_domain:
-        phi_log_fn = child._phi_log_fn  # s + c is s at log-domain scales
     return AdmissibleFunction(f"{child.label}(s+{c:g})/..({c:g})",
                               jet_fn, child.c_gamma + c, child.alpha0,
+                              phi_log_fn=child._phi_log_fn)  # s + c ~ s at |s| > e^300
+
+
+def _scaled(x, a):
+    # a * x; numpy takes a complex array times a real a as times a + 0j,
+    # which turns -0.0 into 0.0 and inf into nan, so a = +-1 is exact here
+    return x if a == 1.0 else -x if a == -1.0 else x * a
+
+
+def _combine(label: str, terms) -> AdmissibleFunction:
+    """The weight prod gamma_i^{a_i} of terms [(a_i, gamma_i), ...]: its jet,
+    and its far-form Phi when every child has one, are sum a_i * the
+    child's; c_gamma and alpha0 are the least of the children's."""
+
+    def jet_fn(s, order):
+        total = None
+        for a, child in terms:
+            j = _scaled(child.jet(s, order), a)
+            total = j if total is None else total + j
+        return total
+
+    phi_log_fn = None
+    if all(child.has_log_domain for _, child in terms):
+        def phi_log_fn(w):
+            phi = dphi = None
+            for a, child in terms:
+                p, dp = (_scaled(x, a) for x in child.phi_log(w))
+                phi, dphi = (p, dp) if phi is None else (phi + p, dphi + dp)
+            return phi, dphi
+    return AdmissibleFunction(label, jet_fn,
+                              min(child.c_gamma for _, child in terms),
+                              min(child.alpha0 for _, child in terms),
                               phi_log_fn=phi_log_fn)
 
 
@@ -306,32 +332,11 @@ def power(child: AdmissibleFunction, a: float) -> AdmissibleFunction:
     """gamma(s)^a, a > 0."""
     if a <= 0:
         raise BuildError(f"power needs a > 0, got {a}")
-
-    def jet_fn(s, order):
-        return child.jet(s, order) * a
-
-    phi_log_fn = None
-    if child.has_log_domain:
-        def phi_log_fn(w):
-            p, dp = child.phi_log(w)
-            return a * p, a * dp
-    return AdmissibleFunction(f"({child.label})^{a:g}", jet_fn,
-                              child.c_gamma, child.alpha0, phi_log_fn=phi_log_fn)
+    return _combine(f"({child.label})^{a:g}", [(a, child)])
 
 
 def product(c1: AdmissibleFunction, c2: AdmissibleFunction) -> AdmissibleFunction:
-    def jet_fn(s, order):
-        return c1.jet(s, order) + c2.jet(s, order)
-
-    phi_log_fn = None
-    if c1.has_log_domain and c2.has_log_domain:
-        def phi_log_fn(w):
-            p1, d1 = c1.phi_log(w)
-            p2, d2 = c2.phi_log(w)
-            return p1 + p2, d1 + d2
-    return AdmissibleFunction(f"({c1.label})*({c2.label})", jet_fn,
-                              min(c1.c_gamma, c2.c_gamma),
-                              min(c1.alpha0, c2.alpha0), phi_log_fn=phi_log_fn)
+    return _combine(f"({c1.label})*({c2.label})", [(1.0, c1), (1.0, c2)])
 
 
 def quotient(c1: AdmissibleFunction, c2: AdmissibleFunction) -> AdmissibleFunction:
@@ -354,19 +359,7 @@ def quotient(c1: AdmissibleFunction, c2: AdmissibleFunction) -> AdmissibleFuncti
     if ratio_scale[-1] < ratio_scale[0] + 0.05:
         raise BuildError("quotient: (gamma1/gamma2)^(1/rho) shows no growth "
                          "on [1, 1e6]; unboundedness audit failed")
-
-    def jet_fn(s, order):
-        return c1.jet(s, order) - c2.jet(s, order)
-
-    phi_log_fn = None
-    if c1.has_log_domain and c2.has_log_domain:
-        def phi_log_fn(w):
-            p1, d1_ = c1.phi_log(w)
-            p2, d2_ = c2.phi_log(w)
-            return p1 - p2, d1_ - d2_
-    return AdmissibleFunction(f"({c1.label})/({c2.label})", jet_fn,
-                              min(c1.c_gamma, c2.c_gamma),
-                              min(c1.alpha0, c2.alpha0), phi_log_fn=phi_log_fn)
+    return _combine(f"({c1.label})/({c2.label})", [(1.0, c1), (-1.0, c2)])
 
 
 def log_of_scale(child: AdmissibleFunction) -> AdmissibleFunction:
@@ -376,13 +369,9 @@ def log_of_scale(child: AdmissibleFunction) -> AdmissibleFunction:
     otherwise (weights with L near 1, like the bare factorial, fail).
     """
     c_new = child.c_gamma + 1.0
-
-    def _logL1(sig):
-        return np.real(child.log_gamma(sig + 1.0 + 0j)) / (sig + 1.0)
-
     probe = np.concatenate([
         np.linspace(-min(c_new, 0.999) + 1e-3, 1.0, 41), np.geomspace(1.0, 1e6, 41)])
-    vals = _logL1(probe)
+    vals = np.real(child.log_gamma(probe + 1.0 + 0j)) / (probe + 1.0)   # log L(s+1)
     if np.any(vals <= 0):
         bad = probe[int(np.argmin(vals))]
         raise BuildError(
@@ -503,49 +492,33 @@ def _gauss_panels(edges):
             (half[:, None] * w[None, :]).ravel())
 
 
-class _CauchyKernelGrid:
-    """Fixed quadrature grids for integrals int f(u) (u+s)^{-m} du, m = 1..3.
+def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
+    """Weight with prescribed scale: log gamma(s) = s^2 int_c^inf
+    (log ell)'(u) / (s+u) du, derivatives taken under the integral.
 
-    Nodes come with the density already folded into the weights, so the
-    three integrals are plain broadcast sums.  A call uses the grid that
-    covers |s| up to the least power of ten (1e8 at the smallest) above
-    its own largest |s|; each grid is built once, so no value depends on
-    the calls made before it.  In v = log(u/c) a grid runs 45 past
-    log(s_cover/c), on 15-point Gauss panels 0.5 long.
+    The integrals int f(u) (u+s)^{-m} du, m = 1..3, are sums over fixed
+    grids, with the density already folded into the weights.  A call uses
+    the grid that covers |s| up to the least power of ten (1e8 at the
+    smallest) above its own largest |s|; each grid is built once, so no
+    value depends on the calls made before it.  In v = log(u/c) a grid
+    runs 45 past log(s_cover/c), on 15-point Gauss panels 0.5 long.
     """
+    grids = {}      # s_cover -> (nodes u, weights)
 
-    def __init__(self, weight_at, c):
-        self._weight_at = weight_at   # u-array -> f(u) * du/dv jacobian folded
-        self.c = float(c)
-        self._grids = {}
-
-    def _grid(self, s_cover):
-        if s_cover not in self._grids:
-            v_max = math.log(s_cover / self.c) + 45.0
-            n_panels = max(8, int(math.ceil(v_max / 0.5)))
-            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
-            u = self.c * np.exp(v)
-            self._grids[s_cover] = (u, wv * self._weight_at(u))
-        return self._grids[s_cover]
-
-    def integrals(self, s, count):
-        """[I1, .., I_count] at the (flat complex array) points s."""
-        s = np.atleast_1d(np.asarray(s, dtype=complex)).ravel()
-        amax = float(np.max(np.abs(s))) if s.size else 1.0
+    def jet_fn(s, order):
+        flat = s.ravel()
+        amax = float(np.max(np.abs(flat))) if flat.size else 1.0
         s_cover = 1e8
         while s_cover < amax:
             s_cover *= 10.0
-        return _cauchy_sums(s, *self._grid(s_cover), count)
-
-
-def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
-    """Weight with prescribed scale: log gamma(s) = s^2 int_c^inf
-    (log ell)'(u) / (s+u) du, derivatives taken under the integral."""
-    grid = _CauchyKernelGrid(lambda u: np.asarray(ell.dlog_ell(u), dtype=float) * u,
-                             ell.c)
-
-    def jet_fn(s, order):
-        return _cauchy_jet(s, s, grid.integrals(s.ravel(), order + 1), order)
+        if s_cover not in grids:
+            v_max = math.log(s_cover / ell.c) + 45.0
+            n_panels = max(8, int(math.ceil(v_max / 0.5)))
+            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
+            u = ell.c * np.exp(v)
+            grids[s_cover] = (u, wv * (np.asarray(ell.dlog_ell(u), dtype=float) * u))
+        return _cauchy_jet(s, s, _cauchy_sums(flat, *grids[s_cover], order + 1),
+                           order)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,
                               ell.c, math.pi)
@@ -652,11 +625,8 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
             i = [im + tm for im, tm in zip(i, tails)]
         return _cauchy_jet(s, s - a0, i, order, (A, B))
 
-    support_inf = 0.0
-    pos = np.nonzero(m > 0)[0]
-    if pos.size:
-        support_inf = float(u[pos[0]])
-    c_gamma = max(support_inf, 0.0)
+    pos = np.nonzero(m > 0)[0]      # c_gamma: the least node the measure charges
+    c_gamma = float(u[pos[0]]) if pos.size else 0.0
     return AdmissibleFunction(spec.label, jet_fn, c_gamma, math.pi,
                               positive_type=True, degenerate=degenerate)
 

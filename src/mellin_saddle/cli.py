@@ -52,15 +52,18 @@ def _load_spec(text: str) -> FunctionSpec:
     return FunctionSpec.from_json(candidate)
 
 
-def _parse_kv(text: str) -> dict:
+def _parse_kv(text: str, keys) -> dict:
+    """The key=value pairs of text; a key outside keys is a spec error."""
     out = {}
     for part in text.split(","):
         if not part:
             continue
         if "=" not in part:
             raise SpecError(f"expected key=value in {text!r}, got {part!r}")
-        k, v = part.split("=", 1)
-        out[k.strip()] = v.strip()
+        k, v = (x.strip() for x in part.split("=", 1))
+        if k not in keys:
+            raise SpecError(f"unknown key {k!r} in {text!r}; use {'/'.join(keys)}")
+        out[k] = v
     return out
 
 
@@ -73,7 +76,7 @@ def _parse_range(v: str):
 
 
 def parse_grid(text: str) -> List[LogSurfacePoint]:
-    kv = _parse_kv(text)
+    kv = _parse_kv(text, ("r", "n", "psi"))
     if "r" not in kv:
         raise SpecError(f"grid needs r=A..B, got {text!r}")
     r_lo, r_hi, n_inline = _parse_range(kv["r"])
@@ -84,13 +87,12 @@ def parse_grid(text: str) -> List[LogSurfacePoint]:
     psis = [0.0]
     if "psi" in kv:
         p_lo, p_hi, m = _parse_range(kv["psi"])
-        m = _number(int, kv.get("npsi", m or 1), "grid npsi")
-        psis = np.linspace(p_lo, p_hi, m) if m > 1 else [p_lo]
+        psis = np.linspace(p_lo, p_hi, m) if m and m > 1 else [p_lo]
     return [LogSurfacePoint(math.log(r), float(p)) for p in psis for r in rs]
 
 
 def parse_at(text: str) -> LogSurfacePoint:
-    kv = _parse_kv(text)
+    kv = _parse_kv(text, ("r", "psi"))
     if "r" not in kv:
         raise SpecError(f"--at needs r=R[,psi=P], got {text!r}")
     r = _number(float, kv["r"], "--at r")
@@ -107,10 +109,8 @@ def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
         alpha_txt, _, extra = rest.partition(",")
         if not alpha_txt:
             raise SpecError("lalpha contour needs lalpha:ALPHA[,vertex=V]")
-        vertex = None
-        if extra:
-            kv = _parse_kv(extra)
-            vertex = _number(float, kv["vertex"], "vertex") if "vertex" in kv else None
+        kv = _parse_kv(extra, ("vertex",))
+        vertex = _number(float, kv["vertex"], "vertex") if "vertex" in kv else None
         return ContourSpec("l_alpha", alpha=_number(float, alpha_txt, "alpha"),
                            vertex=vertex)
     if kind == "vertical":
@@ -124,7 +124,7 @@ def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
 def _tolerances(args) -> Tolerances:
     max_nodes = _number(int, os.environ.get("MELLIN_MAX_NODES", 200_000),
                         "MELLIN_MAX_NODES")
-    rel = 1e-8 if getattr(args, "tol", None) is None else args.tol
+    rel = 1e-8 if args.tol is None else args.tol
     return Tolerances(rel_tol=rel, max_nodes=max_nodes)
 
 
@@ -171,9 +171,9 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _points(args) -> List[LogSurfacePoint]:
-    if getattr(args, "at", None):
+    if args.at:
         return [parse_at(args.at)]
-    if getattr(args, "grid", None):
+    if args.grid:
         return parse_grid(args.grid)
     raise SpecError("need --grid or --at")
 
@@ -181,7 +181,7 @@ def _points(args) -> List[LogSurfacePoint]:
 def _run_eval(args) -> int:
     which = args.verb
     f = build(_load_spec(args.spec))
-    tols = _tolerances(args)
+    tols = None if which in ("asym-K", "asym-E") else _tolerances(args)
     contour = parse_contour(getattr(args, "contour", None))
     rows = []
     for z in _points(args):
@@ -332,36 +332,38 @@ def build_parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, run, grid=True):
+    def common(sp, run, grid=True, tol=True, fmt=True):
         sp.set_defaults(run=run)
         sp.add_argument("--spec", "-s", required=True,
                         help="weight spec: JSON file path or inline JSON")
         if grid:
-            sp.add_argument("--grid", help="r=A..B,n=N[,psi=P|psi=A..B:M]")
-            sp.add_argument("--at", help="r=R[,psi=P]")
-        sp.add_argument("--tol", type=float, help="relative tolerance")
+            where = sp.add_mutually_exclusive_group()
+            where.add_argument("--grid", help="r=A..B,n=N[,psi=P|psi=A..B:M]")
+            where.add_argument("--at", help="r=R[,psi=P]")
+        if tol:
+            sp.add_argument("--tol", type=float, help="relative tolerance")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+        if fmt:
+            sp.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    for verb in ("eval-K", "eval-E", "asym-K", "asym-E"):
-        sp = sub.add_parser(verb)
-        common(sp, _run_eval)
-        if verb == "eval-K":
-            sp.add_argument("--contour",
-                            help="lalpha:ALPHA[,vertex=V] or vertical:C")
+    sp = sub.add_parser("eval-K")
+    common(sp, _run_eval)
+    sp.add_argument("--contour", help="lalpha:ALPHA[,vertex=V] or vertical:C")
+    common(sub.add_parser("eval-E"), _run_eval)
+    for verb in ("asym-K", "asym-E"):
+        common(sub.add_parser(verb), _run_eval, tol=False)
     sp = sub.add_parser("abel-plana")
     common(sp, _run_eval)
     sp.add_argument("--sigma0", type=float, default=None)
 
-    sp = sub.add_parser("saddle")
-    common(sp, _run_saddle)
+    common(sub.add_parser("saddle"), _run_saddle, tol=False, fmt=False)
 
     sp = sub.add_parser("moment")
     common(sp, _run_moment, grid=False)
     sp.add_argument("--n", type=int, nargs="+", required=True)
 
     sp = sub.add_parser("boundary")
-    common(sp, _run_boundary)
+    common(sp, _run_boundary, tol=False)
     sp.add_argument("--alpha", type=float, required=True)
 
     sp = sub.add_parser("table")

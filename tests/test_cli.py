@@ -12,6 +12,7 @@ from mellin_saddle.errors import SpecError
 
 GAMMA = '{"kind":"gamma_shift","params":{"c":0}}'
 GAMMA1 = '{"kind":"gamma_shift","params":{"c":1.0}}'
+ITERLOG = '{"kind":"iterated_log","params":{}}'
 
 
 def run_cli(capsys, *argv):
@@ -80,6 +81,15 @@ def test_saddle_json(capsys):
     assert doc["region"] == "inside"
 
 
+def test_saddle_without_a_ray_root(capsys):
+    # r = 0.5 lies below Phi on iterated_log's whole ray
+    code, out, err = run_cli(capsys, "saddle", "--spec", ITERLOG,
+                             "--at", "r=0.5")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["region"] == "no_saddle" and doc["error"]
+
+
 def test_verify_moments_exit_zero(capsys, tmp_path):
     out_path = tmp_path / "report.json"
     code, out, err = run_cli(capsys, "verify", "moments", "--spec", GAMMA,
@@ -88,6 +98,21 @@ def test_verify_moments_exit_zero(capsys, tmp_path):
     doc = json.loads(out_path.read_text())
     assert doc["passed"] is True
     assert doc["summary"]["fail"] == 0
+
+
+def test_verify_positivity_verb(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "positivity", "--spec",
+        '{"kind":"positive_type","params":{"preset":"factorial"}}',
+        "--t-points", "3")
+    assert code == 0, err
+    assert json.loads(out)["passed"] is True
+
+
+def test_verify_needs_a_spec(capsys):
+    code, out, err = run_cli(capsys, "verify", "moments")
+    assert code == 2
+    assert "needs --spec" in err
 
 
 def test_spec_error_exit_2(capsys):
@@ -120,11 +145,28 @@ def test_spec_error_exit_2(capsys):
     ("verify", "positivity", "--t-points", "0"),
     ("verify", "positivity", "--t-min", "0"),
     ("verify", "positivity", "--t-max", "inf"),
+    # key=value keys the parser does not read
+    ("eval-K", "--at", "r=2,pssi=1"),
+    ("eval-K", "--grid", "r=1..10,N=5"),
+    ("eval-K", "--at", "r=2", "--contour", "lalpha:2,vertx=3"),
 ])
 def test_bad_argument_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--spec", GAMMA)
     assert code == 2
     assert "spec error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # flags a verb does not read, and --at with --grid
+    ("saddle", "--at", "r=2", "--format", "csv", "--tol", "1e-3"),
+    ("boundary", "--at", "r=10", "--alpha", "1.5", "--tol", "0.5"),
+    ("asym-K", "--at", "r=10", "--tol", "7"),
+    ("eval-K", "--at", "r=2", "--grid", "r=1..3,n=3"),
+])
+def test_argparse_refusal_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--spec", GAMMA)
+    assert code == 2
+    assert "error:" in err and out == ""
 
 
 def test_numerical_error_exit_3(capsys):

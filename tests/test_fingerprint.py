@@ -54,16 +54,24 @@ SADDLE = [
     "0.8256131621002049, 17)",
     "solve iterated_log r=5 psi=1\t'no_saddle(alpha=-, rho0=1995.26)'",
     "boundary_psi gamma_shift0 r=5 alpha=0.5\t0.5465228487487633",
+    "weight product\t([[[(1.5+0.5j), (2-1j)]], [[(1.5+0.5j), (2-1j)], "
+    "[(0.5+0j), (nan+0j)]]], None, 1995.26, 1.25, 0.5, 0.0, "
+    "{'label': '(gamma(s))*(gamma(s))', 'passed': False, "
+    "'conditions': [{'name': 'A', 'metric': 2.5, 'passed': True}]})",
 ]
 
 
 def test_saddle_lines_move_and_raise(tmp_path):
     # the saddle lines carry no bar: a move is reported, not a finding
     moved = SADDLE[:2] + [SADDLE[2].replace("0.5465228487487633",
-                                            "0.5465228587487633")]
+                                            "0.5465228587487633"),
+                          SADDLE[3].replace("'metric': 2.5,",
+                                            "'metric': 2.5000025,")]
     out = _compare(tmp_path, moved, SADDLE)
     assert out.returncode == 0, out.stdout + out.stderr
     assert "boundary_psi" in out.stdout and "1.83e-08" in out.stdout
+    # nested payloads: the move is found inside the dict, NaN equals NaN
+    assert re.search(r"^weight\s+1\s+0\s+1e-06$", out.stdout, re.M), out.stdout
     raised = [SADDLE[0].split("\t")[0] + "\tNoSaddleError: no bracket"] \
         + SADDLE[1:]
     out = _compare(tmp_path, raised, SADDLE)

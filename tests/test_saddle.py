@@ -172,6 +172,14 @@ def test_classify_iterlog_escapes_sector(iterlog):
     assert tag.kind == "no_saddle"
 
 
+def test_classify_without_a_ray_root(iterlog):
+    # log r = -0.5 lies below Phi on the whole ray: the ray solve raises
+    z = LogSurfacePoint(-0.5, 0.0)
+    with pytest.raises(NoSaddleError):
+        solve(iterlog, z)
+    assert classify(iterlog, z, 1.0).kind == "no_saddle"
+
+
 def test_boundary_psi_trivialities(gamma0):
     assert boundary_psi(gamma0, math.log(25.0), 0.0) == 0.0
     up = boundary_psi(gamma0, math.log(25.0), 0.8)

@@ -148,6 +148,13 @@ def test_E_at_zero(gamma0, gamma1):
     assert _val(eval_E_series(gamma1, 0)).real == pytest.approx(1.0)
 
 
+def test_E_at_a_plane_number(gamma0):
+    # z given as a complex number, not a LogSurfacePoint: E(z) = e^z
+    res = eval_E_series(gamma0, 2 + 1j)
+    assert res.converged
+    assert abs(_val(res) / cmath.exp(2 + 1j) - 1.0) < 1e-14
+
+
 def test_E_alternating_cancellation(gamma0):
     # e^{-10} out of terms as large as e^{10}: exactly rounded summation keeps
     # ~8 digits and the error estimate owns the cancellation honestly
@@ -221,6 +228,17 @@ def test_abel_plana_matches_series(gamma0, iterlog):
         gs = eval_growth_sum(f, z)
         lhs = ap.value * math.exp(ap.log_scale - gs.log_scale)
         assert abs(lhs - gs.value) <= 1e-8 * abs(gs.value)
+
+
+def test_abel_plana_without_a_ray_root(iterlog):
+    # log r = -0.5 lies below Phi on the whole ray, so the main integral is
+    # seeded at its fallback peak; it still agrees with the series
+    z = LogSurfacePoint(-0.5, 0.3)
+    ap, gs = eval_abel_plana_rhs(iterlog, z), eval_growth_sum(iterlog, z)
+    assert ap.converged and gs.converged
+    bars = ap.abs_error * math.exp(ap.log_scale) \
+        + gs.abs_error * math.exp(gs.log_scale)
+    assert abs(_val(ap) - _val(gs)) <= bars
 
 
 def test_abel_plana_parts_structure(gamma0):

@@ -1,5 +1,5 @@
-"""Fingerprint the evaluators and the saddle layer, and compare two
-fingerprints.
+"""Fingerprint the evaluators, the saddle layer and the weight layer, and
+compare two fingerprints.
 
 A refactor should keep the numbers.  `dump` prints one line per call,
 `<label>\t<payload>`, with payload `ExceptionClass: message` when the call
@@ -15,21 +15,28 @@ alpha in {0.5, pi/2, 2.5}, with payload repr(psi).  Two more saddle kinds
 follow: point_with_saddle_radius on the four weights at rho* in
 {10, 35, 100} and psi in {0, 0.9, -1.5}, with payload
 repr((log_r, psi, s)), and local_gaussian_saddle at the 36 solve points,
-with payload repr(value).  Last come 11 command-line runs of
-mellin_saddle.cli.main on the same weights (eval-K, eval-E, table K and
-E, saddle, asym-K, boundary, audit, verify carleman, theorem3-limits and
-scan-K), with payload repr((exit code, first 16 hex digits of the sha256
-of stdout)): 345 lines in all.
+with payload repr(value).  The weight kind has one line for each of 12
+weights of the weight layer (powers, a product and a quotient of
+gamma_shift and iterated_log, shift_normalize, exp_scale, log_of_scale,
+theorem3 with exp_sqrt_log, the three positive-type presets and
+monomial_exponent), with payload repr of: the jets of orders 0-2 at a
+fixed 2x2 complex array, phi_log at three points either side of the jet
+cut (None without a log domain), default_rho0(), epsilon_sup(),
+epsilon_limsup_estimate(), one_over_gamma0 and the audit's to_dict().
+Last come 11 command-line runs of mellin_saddle.cli.main on the same
+weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
+verify carleman, theorem3-limits and scan-K), with payload repr((exit
+code, first 16 hex digits of the sha256 of stdout)): 357 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
 lines also a flipped converged flag and a value that moved outside the
 sum of both error bars.  Then, per evaluator, the node sums and the counts
 of changed and byte-identical lines, and the largest change of a value
-relative to its two bars; per saddle kind, which carries no bar, the
-counts and the largest relative move of a number, which is not a finding;
-for the command-line runs, a changed exit code is a finding and a changed
-digest is counted.
+relative to its two bars; per saddle kind and for the weight kind, which
+carry no bar, the counts and the largest relative move of a number, which
+is not a finding; for the command-line runs, a changed exit code is a
+finding and a changed digest is counted.
 
     PYTHONPATH=src python tools/fingerprint.py dump > after.txt
     PYTHONPATH=<other checkout>/src python tools/fingerprint.py dump > before.txt
@@ -67,8 +74,28 @@ ALPHAS = (0.5, 0.5 * math.pi, 2.5)
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "boundary_psi", "point_with_saddle_radius",
-            "local_gaussian_saddle")     # saddle kinds: no error bar
+            "local_gaussian_saddle", "weight")     # no error bar
 NO_BAR = UNBARRED + ("cli",)
+# weight-layer lines: name -> the weight, built from the package
+WEIGHT_LAYER = {
+    "power_iterated_log": lambda ms: ms.power(ms.iterated_log(), 2.5),
+    "power_gamma_shift": lambda ms: ms.power(ms.gamma_shift(1.0), 2.0),
+    "product": lambda ms: ms.product(ms.gamma_shift(0.0), ms.iterated_log()),
+    "quotient": lambda ms: ms.quotient(ms.gamma_shift(2.0), ms.iterated_log()),
+    "shift_normalize": lambda ms: ms.shift_normalize(ms.iterated_log(), 1.5),
+    "exp_scale": lambda ms: ms.exp_scale(ms.gamma_shift(0.0), 0.5),
+    "log_of_scale": lambda ms: ms.log_of_scale(ms.iterated_log()),
+    "theorem3_exp_sqrt_log": lambda ms: ms.build_theorem3(ms.ell_exp_sqrt_log()),
+    "positive_factorial": lambda ms: ms.build_positive_type(
+        ms.positive_type_factorial()),
+    "positive_iterated_log_jump": lambda ms: ms.build_positive_type(
+        ms.positive_type_iterated_log()),
+    "positive_degenerate": lambda ms: ms.build_positive_type(
+        ms.positive_type_degenerate(0.5)),
+    "monomial_exponent": lambda ms: ms.monomial_exponent(1.5),
+}
+JET_POINTS = np.array([[0.5 + 0.5j, 3.0 - 2.0j], [20.0 + 7.0j, 150.0 + 0.1j]])
+PHI_LOG_POINTS = np.array([299.0 + 0.3j, 300.0, 400.0 + 1.0j])
 # (weight or None, argv after the verb's --spec) per command-line run
 CLI_RUNS = (
     ("gamma_shift0", ("eval-K", "--grid", "r=2..10,n=3,psi=0..2.5:3")),
@@ -101,6 +128,22 @@ def _solved(sol_tag):
 def _placed(z_s):
     z, s = z_s
     return repr((z.log_r, z.psi, s))
+
+
+def _weighed(f):
+    """Jets of orders 0-2 at JET_POINTS, Phi at PHI_LOG_POINTS (None without
+    a log domain), the derived constants and the audit, as plain numbers."""
+    from mellin_saddle import audit_admissibility
+
+    jets = []
+    for order in (0, 1, 2):
+        j = f.jet(JET_POINTS, order)
+        jets.append([x.tolist() for x in (j.val, j.d1, j.d2)[:order + 1]])
+    phi = ([x.tolist() for x in f.phi_log(PHI_LOG_POINTS)]
+           if f.has_log_domain else None)
+    return repr((jets, phi, f.default_rho0(), f.epsilon_sup(),
+                 f.epsilon_limsup_estimate(), f.one_over_gamma0,
+                 audit_admissibility(f).to_dict()))
 
 
 def _cli_run(argv):
@@ -167,6 +210,8 @@ def calls():
                 out.append((f"local_gaussian_saddle {name} r={r:g} psi={psi:g}",
                             lambda f=f, z=z:
                             repr(ms.local_gaussian_saddle(f, z))))
+    for name, make in WEIGHT_LAYER.items():
+        out.append((f"weight {name}", lambda make=make: _weighed(make(ms))))
     for name, argv in CLI_RUNS:
         spec = () if name is None else ("--spec", json.dumps(WEIGHTS[name]))
         out.append((f"cli {name or '-'} {' '.join(argv)}",
@@ -212,15 +257,33 @@ def _shift(a, b):
     return 0.0 if change == 0 else change / bars if bars > 0 else math.inf
 
 
+def _leaves(x):
+    """The numbers, strings and Nones of a parsed payload, depth first."""
+    if isinstance(x, dict):
+        x = list(x.items())
+    if isinstance(x, (list, tuple)):
+        for y in x:
+            yield from _leaves(y)
+    else:
+        yield x
+
+
 def _move(a, b):
     """Largest relative change of a number between two results that carry
-    no bar (counts such as iterations aside); inf when one is a solution
-    and the other a region tag."""
-    a, b = (x if isinstance(x, tuple) else (x,) for x in (a, b))
-    if len(a) != len(b) or any(isinstance(x, str) for x in a + b):
+    no bar (counts and flags aside, NaN equal to NaN); inf when their
+    shapes or texts differ, as between a solution and a region tag."""
+    a, b = list(_leaves(a)), list(_leaves(b))
+    if len(a) != len(b):
         return math.inf
-    return max([abs(x - y) / max(abs(x), abs(y)) for x, y in zip(a, b)
-                if x != y and not isinstance(x, int)], default=0.0)
+    worst = 0.0
+    for x, y in zip(a, b):
+        if x == y or isinstance(x, int) or (x != x and y != y):
+            continue
+        if not all(isinstance(v, (float, complex)) for v in (x, y)):
+            return math.inf
+        move = abs(x - y) / max(abs(x), abs(y))
+        worst = max(worst, move if move == move else math.inf)
+    return worst
 
 
 def compare(path_a, path_b, stream=sys.stdout):
@@ -279,8 +342,8 @@ def compare(path_a, path_b, stream=sys.stdout):
         print(f"{ev:<12}{nodes[ev][0]:>12,}{nodes[ev][1]:>12,}"
               f"{changed[ev]:>9}{same[ev]:>6}", file=stream)
     print(f"largest change / sum of both bars: {worst:.3g}", file=stream)
-    print(f"{'saddle, cli':<26}{'changed':>9}{'same':>6}  largest relative move",
-          file=stream)
+    print(f"{'saddle, weight, cli':<26}{'changed':>9}{'same':>6}"
+          "  largest relative move", file=stream)
     for ev in [k for k in kinds if k in NO_BAR]:
         move = "-" if ev == "cli" else f"{moves[ev]:.3g}"
         print(f"{ev:<26}{changed[ev]:>9}{same[ev]:>6}  {move}", file=stream)
