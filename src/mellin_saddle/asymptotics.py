@@ -11,9 +11,13 @@ on the positive ray and continued along the solver's path: its argument
 is assembled from the continuously tracked theta_z, never snapped to a
 principal branch.  Magnitudes ride on log_scale so nothing overflows.
 
-The paper's margins are fixed: the K form and the local saddle chord hold
-in Omega(alpha0 - 0.1), E's transition band is |theta_z - pi/2| < 0.05,
-and the chord's half-length is rho_z^{1 - 0.125}.
+Every region test is the one rule RegionTag.of(sol, alpha, rho0): inside
+Omega(alpha, rho0) iff |theta_z| < alpha and rho_z > rho0; the tag's alpha
+reads |theta_z|.  solve tests alpha0 - 0.02 and classify the caller's
+alpha, both with rho0 = f.default_rho0(); the K form and the local saddle
+chord test alpha0 - 0.1 with that rho0 and raise RegionError outside; E
+tests pi/2 + 0.05 with rho0 = 0, no radius, and its transition band is
+|theta_z - pi/2| < 0.05.  The chord's half-length is rho_z^{1 - 0.125}.
 """
 from __future__ import annotations
 
@@ -24,14 +28,13 @@ from typing import List
 
 import numpy as np
 
-from .catalog import AdmissibleFunction
+from .catalog import _K_DELTA, AdmissibleFunction
 from .errors import QuadratureError, RegionError
 from .saddle import RegionTag, SaddleSolution, solve
 from .surface import LogSurfacePoint, Tolerances
 from .transforms import _path_integral
 
 _SCALE_LIMIT = 300.0
-_K_DELTA = 0.1        # K's form and the chord: Omega(alpha0 - _K_DELTA)
 _E_DELTA = 0.05       # E's growth region pi/2 + _E_DELTA and transition band
 
 
@@ -66,27 +69,28 @@ def _saddle_terms(f: AdmissibleFunction, sol: SaddleSolution):
 def K_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint) -> AsymptoticValue:
     """Leading decay form sqrt(s/(2 pi eps)) exp(-s eps) at s = s_z.
 
-    Valid inside the sector image Omega(alpha0 - 0.1); raises
-    RegionError elsewhere.
+    Valid inside Omega(alpha0 - 0.1, f.default_rho0()), whose tag the value
+    carries; raises RegionError elsewhere.
     """
     sol, tag = solve(f, z)
     alpha = f.alpha0 - _K_DELTA
-    if sol is None or abs(sol.theta_z) >= alpha or sol.rho_z <= tag.rho0_used:
+    region = RegionTag.of(sol, alpha, tag.rho0_used)
+    if not region.inside:
         raise RegionError(
             f"decay asymptotics not applicable at {z}: saddle "
             f"{'missing' if sol is None else f'at theta={sol.theta_z:.4g}, rho={sol.rho_z:.4g}'}"
             f" is outside Omega({alpha:.4g}, {tag.rho0_used:.4g})")
     log_sqrt, s_eps = _saddle_terms(f, sol)
     logval = log_sqrt - 0.5 * math.log(2.0 * math.pi) - s_eps
-    region = RegionTag("inside", abs(sol.theta_z), tag.rho0_used)
     return _split_scale(logval, region, [])
 
 
 def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint) -> AsymptoticValue:
     """Asserted value of z E(z) + 1/gamma(0).
 
-    Inside Omega(pi/2 + 0.05): the saddle growth form; outside: 0 (the
-    sum is o(1) there).  In the transition annulus, |theta_z| within 0.05
+    Inside Omega(pi/2 + 0.05, 0), where no radius is tested (the tag's
+    rho0_used is 0): the saddle growth form; outside: 0 (the sum is o(1)
+    there).  In the transition annulus, |theta_z| within 0.05
     of pi/2, both candidate terms are reported through warnings.  The
     additive o(1) term is always reported as a warning band, not folded
     into the value.
@@ -100,31 +104,28 @@ def E_asymptotic(f: AdmissibleFunction, z: LogSurfacePoint) -> AsymptoticValue:
     band = max(1.0, abs(f.one_over_gamma0))
     warnings.append(f"additive o(1) band of width {band:.3g} not folded in")
 
-    sol, tag = solve(f, z)
+    sol, _ = solve(f, z)
     half_pi = 0.5 * math.pi
-    if sol is None or abs(sol.theta_z) > half_pi + _E_DELTA:
-        kind = "no_saddle" if sol is None else "outside"
-        alpha = None if sol is None else abs(sol.theta_z)
-        return AsymptoticValue(0.0, 0.0, RegionTag(kind, alpha, tag.rho0_used),
-                               warnings)
+    region = RegionTag.of(sol, half_pi + _E_DELTA, 0.0)
+    if not region.inside:
+        return AsymptoticValue(0.0, 0.0, region, warnings)
     log_sqrt, s_eps = _saddle_terms(f, sol)
     logval = log_sqrt + 0.5 * math.log(2.0 * math.pi) + s_eps
-    if abs(sol.theta_z) >= half_pi - _E_DELTA:
+    if region.alpha >= half_pi - _E_DELTA:
         warnings.append(
             "transition annulus (|theta_z| within 0.05 of pi/2): the saddle "
             f"term exp({logval.real:.4g}) and the o(1) band may be comparable; "
             "both are reported, neither dominates provably")
-    region = RegionTag("inside", abs(sol.theta_z), tag.rho0_used)
     return _split_scale(logval, region, warnings)
 
 
 def local_gaussian_reference(f: AdmissibleFunction,
                              sol: SaddleSolution) -> AsymptoticValue:
     """i sqrt(2 pi s/eps) exp(-s eps) at s_z: the model value the local
-    saddle integral converges to."""
+    saddle integral converges to; tagged against the sector, Omega(alpha0, 0)."""
     log_sqrt, s_eps = _saddle_terms(f, sol)
     logval = log_sqrt + 0.5 * math.log(2.0 * math.pi) + 0.5j * math.pi - s_eps
-    return _split_scale(logval, RegionTag("inside", abs(sol.theta_z), 0.0), [])
+    return _split_scale(logval, RegionTag.of(sol, f.alpha0, 0.0), [])
 
 
 def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint) -> complex:
@@ -133,10 +134,11 @@ def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint) -> complex:
 
     One transforms._path_integral with finite ends, seeded from the saddle
     at the Gaussian width 1/sqrt|Phi'(s_z)|; compare against
-    local_gaussian_reference.
+    local_gaussian_reference.  RegionError outside Omega(alpha0 - 0.1,
+    f.default_rho0()), as for the K form.
     """
     sol, tag = solve(f, z)
-    if sol is None or abs(sol.theta_z) >= f.alpha0 - _K_DELTA:
+    if not RegionTag.of(sol, f.alpha0 - _K_DELTA, tag.rho0_used).inside:
         raise RegionError(f"local saddle integral needs an interior saddle at {z}")
     half_len = sol.rho_z ** (1.0 - 0.125)
     direction = 1j * cmath.exp(0.5j * sol.theta_z)
@@ -146,7 +148,7 @@ def local_gaussian_saddle(f: AdmissibleFunction, z: LogSurfacePoint) -> complex:
         return (f.log_gamma(s) - s * z.log_z)[:, None]
 
     width = 1.0 / math.sqrt(abs(complex(f.d2log_gamma(np.complex128(sol.s_z)))))
-    res = _path_integral(g, Tolerances.for_quadrature(), -half_len, 0.0,
+    res = _path_integral(g, Tolerances(), -half_len, 0.0,
                          half_len, width, f"local saddle chord at {z}")
     if abs(res.log_scale) > 600.0:
         raise QuadratureError(

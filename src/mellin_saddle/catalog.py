@@ -37,6 +37,7 @@ from .jet import Jet2
 from .special import digamma, loggamma, trigamma
 
 _EULER_GAMMA = 0.5772156649015328606
+_K_DELTA = 0.1   # K's form, the saddle chord and the (C) fans: alpha0 - 0.1
 
 # Phi comes from the jet while Re w = log|s| stays below this.  Past
 # |s| ~ 1e154 the jets' s^2 overflows and d2 drops a term, so Newton on
@@ -182,9 +183,11 @@ class AdmissibleFunction:
     @cached_property
     def _rho0(self) -> float:
         rho = np.geomspace(1.0, 1e6, 31)
-        b = np.abs(rho * np.real(self.epsilon_prime(rho + 0j))
-                   / np.real(self.epsilon(rho + 0j)))
-        fan = min(0.5 * math.pi, self.alpha0 - 0.1)
+        epsp = np.real(self.epsilon_prime(rho + 0j))
+        eps = np.real(self.epsilon(rho + 0j))
+        with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0: not ok
+            b = np.abs(rho * epsp / eps)
+        fan = min(0.5 * math.pi, self.alpha0 - _K_DELTA)
         thetas = np.linspace(-fan, fan, 5)
         c = np.array([_angular_spread(self, r, thetas) for r in rho])
         ok = (b < 0.2) & (c < 0.2)
@@ -208,7 +211,9 @@ def _angular_spread(f: AdmissibleFunction, rho, thetas) -> float:
     """Condition (C) at one radius: max |eps(rho e^{i theta})/eps(rho) - 1|
     over the fan of angles thetas."""
     e0 = complex(f.epsilon(rho + 0j))
-    return float(np.max(np.abs(f.epsilon(rho * np.exp(1j * thetas)) / e0 - 1.0)))
+    eps = f.epsilon(rho * np.exp(1j * thetas))
+    with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0: NaN
+        return float(np.max(np.abs(eps / e0 - 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -878,12 +883,12 @@ def audit_admissibility(f: AdmissibleFunction) -> AuditReport:
 
     # (C): angular stability of eps at the far end of the grid
     rho_max = grid[-1]
-    thetas = np.linspace(-(f.alpha0 - 0.1), f.alpha0 - 0.1, 9)
+    thetas = np.linspace(-(f.alpha0 - _K_DELTA), f.alpha0 - _K_DELTA, 9)
     spread = _angular_spread(f, rho_max, thetas)
     cond_c = AuditCondition(
         "C: eps stable across the angle fan", spread,
         angular_spread_max, spread < angular_spread_max,
-        f"|theta| <= alpha0 - 0.1 at rho = {rho_max:.3g}")
+        f"|theta| <= alpha0 - {_K_DELTA:g} at rho = {rho_max:.3g}")
 
     pos = AuditCondition("eps positive and bounded on the ray", eps_min, 0.0,
                          eps_min > 0.0 and math.isfinite(eps_sup),

@@ -212,22 +212,17 @@ def _run_saddle(args) -> int:
     f = build(_load_spec(args.spec))
     out = []
     for z in _points(args):
+        row = {"log_r": z.log_r, "psi": z.psi}
         try:
             sol, tag = solve(f, z)
         except NoSaddleError as e:
-            out.append({"log_r": z.log_r, "psi": z.psi, "region": "no_saddle",
-                        "error": str(e)})
+            out.append(dict(row, region="no_saddle", error=str(e)))
             continue
-        if sol is None:
-            out.append({"log_r": z.log_r, "psi": z.psi, "region": tag.kind})
-        else:
-            out.append({
-                "log_r": z.log_r, "psi": z.psi,
-                "s_re": sol.s_z.real, "s_im": sol.s_z.imag,
-                "rho_z": sol.rho_z, "theta_z": sol.theta_z,
-                "residual": sol.residual, "iterations": sol.iterations,
-                "region": tag.kind,
-            })
+        if sol is not None:
+            row.update(s_re=sol.s_z.real, s_im=sol.s_z.imag, rho_z=sol.rho_z,
+                       theta_z=sol.theta_z, residual=sol.residual,
+                       iterations=sol.iterations)
+        out.append(dict(row, region=tag.kind))
     _write(json.dumps(out if len(out) > 1 else out[0], sort_keys=True, indent=2)
            + "\n", args.out)
     return 0
@@ -271,9 +266,7 @@ def _run_table(args) -> int:
                 asym = None
         else:
             num = eval_growth_sum(f, z, tol=tols)
-            asym = E_asymptotic(f, z)
-            if asym.region.kind != "inside":
-                asym = None
+            asym = E_asymptotic(f, z)     # 0 outside its region: no ratio
         row = {"log_r": z.log_r, "psi": z.psi,
                "numeric_re": num.value.real, "numeric_im": num.value.imag,
                "numeric_log_scale": num.log_scale,

@@ -22,6 +22,7 @@ radii past 1e290; solve_real_log and solve_log_domain reach them
 (log_rho_z holds the radius, rho_z is inf).
 boundary_psi (Re Phi = log r up to theta = alpha) and
 point_with_saddle_radius (Im Phi = psi at |s| = rho*) use _line_root too.
+Every region tag, here and in asymptotics, is made by RegionTag.of.
 """
 from __future__ import annotations
 
@@ -57,8 +58,18 @@ class SaddleSolution:
 @dataclass(frozen=True)
 class RegionTag:
     kind: str                  # 'inside' | 'outside' | 'no_saddle'
-    alpha: Optional[float]
-    rho0_used: float
+    alpha: Optional[float]     # the saddle's |theta_z|, None without one
+    rho0_used: float           # the radius tested
+
+    @classmethod
+    def of(cls, sol: Optional[SaddleSolution], alpha: float, rho0: float):
+        """The one region rule: inside Omega(alpha, rho0), the image under Phi
+        of |theta| < alpha, |s| > rho0, iff |theta_z| < alpha, rho_z > rho0."""
+        if sol is None:
+            return cls("no_saddle", None, rho0)
+        theta = abs(sol.theta_z)
+        return cls("inside" if theta < alpha and sol.rho_z > rho0 else
+                   "outside", theta, rho0)
 
     @property
     def inside(self) -> bool:
@@ -250,15 +261,6 @@ def _ray_in_range(f: AdmissibleFunction, log_r: float) -> float:
     return x
 
 
-def _tagged(f: AdmissibleFunction, sol: Optional[SaddleSolution],
-            rho0_used: float) -> Tuple[Optional[SaddleSolution], RegionTag]:
-    if sol is None:
-        return None, RegionTag("no_saddle", None, rho0_used)
-    if abs(sol.theta_z) < f.alpha0 - _EDGE_DELTA and sol.rho_z > rho0_used:
-        return sol, RegionTag("inside", abs(sol.theta_z), rho0_used)
-    return sol, RegionTag("outside", abs(sol.theta_z), rho0_used)
-
-
 def solve_real(f: AdmissibleFunction, log_r: float) -> float:
     """Root of Phi(rho) = log_r on the positive ray.
 
@@ -278,40 +280,35 @@ def solve(f: AdmissibleFunction, z: LogSurfacePoint
           ) -> Tuple[Optional[SaddleSolution], RegionTag]:
     """Saddle for a surface point: ray solution, then continuation in psi.
 
-    Returns (solution, tag), tagged against f.default_rho0().  When the
-    continuation path hits the sector edge |theta| = alpha0 - delta before
-    reaching psi, the solution is None and the tag reads no_saddle (the
-    point lies outside every Omega(alpha) with alpha below the edge).
+    Returns (solution, tag), tagged against Omega(alpha0 - 0.02, rho0 =
+    f.default_rho0()).  When the continuation path hits that sector edge
+    before reaching psi, the solution is None and the tag reads no_saddle
+    (the point lies outside every Omega(alpha) with alpha below the edge).
     Raises NoSaddleError where solve_real does.
     """
-    rho0_used = f.default_rho0()
-    x = _ray_in_range(f, z.log_r)
-    return _tagged(f, _continue(f, x, z.log_z), rho0_used)
+    rho0 = f.default_rho0()
+    sol = _continue(f, _ray_in_range(f, z.log_r), z.log_z)
+    return sol, RegionTag.of(sol, f.alpha0 - _EDGE_DELTA, rho0)
 
 
 def solve_log_domain(f: AdmissibleFunction, z: LogSurfacePoint
                      ) -> Tuple[Optional[SaddleSolution], RegionTag]:
     """Like solve(), also for saddle radii past the double range, where
     rho_z is inf and log_rho_z carries the radius; tagged against rho0 = 1."""
-    x = _ray_root(f, z.log_r, _ROOT_TOL)
-    return _tagged(f, _continue(f, x, z.log_z), 1.0)
+    sol = _continue(f, _ray_root(f, z.log_r, _ROOT_TOL), z.log_z)
+    return sol, RegionTag.of(sol, f.alpha0 - _EDGE_DELTA, 1.0)
 
 
 def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float) -> RegionTag:
-    """Membership tag for Omega(alpha, rho0) with rho0 = f.default_rho0():
-    inside iff the saddle exists with |theta_z| < alpha and rho_z > rho0."""
+    """solve's saddle tagged against Omega(alpha, f.default_rho0()); where
+    solve raises NoSaddleError the tag reads no_saddle."""
     if not alpha < f.alpha0:
         raise SpecError(f"alpha must be below alpha0 = {f.alpha0:.6g}")
-    rho0_used = f.default_rho0()
     try:
-        sol, _ = solve(f, z)
+        sol = solve(f, z)[0]
     except NoSaddleError:
-        return RegionTag("no_saddle", alpha, rho0_used)
-    if sol is None:
-        return RegionTag("no_saddle", alpha, rho0_used)
-    if abs(sol.theta_z) < alpha and sol.rho_z > rho0_used:
-        return RegionTag("inside", alpha, rho0_used)
-    return RegionTag("outside", alpha, rho0_used)
+        sol = None
+    return RegionTag.of(sol, alpha, f.default_rho0())
 
 
 def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:

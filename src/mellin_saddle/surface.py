@@ -74,7 +74,7 @@ def log_surface_pow(z: LogSurfacePoint, s) -> complex:
 class Tolerances:
     """Shared numeric settings: rel_tol and the node budget max_nodes.
 
-    rel_tol defaults to 1e-8, the quadrature tolerance (for_quadrature);
+    rel_tol defaults to 1e-8, the quadrature tolerance;
     the saddle layer's root tolerance is its own constant.  abs_tol and
     truncation_drop, the relative integrand magnitude at which infinite
     rays are cut off, are constants that read like fields.
@@ -93,6 +93,7 @@ class Tolerances:
 
     @classmethod
     def for_quadrature(cls, **kw) -> "Tolerances":
+        """cls(**kw), kept only for perfbench/workloads.py's call."""
         return cls(**kw)
 
     def met_by(self, value: complex, abs_error: float,

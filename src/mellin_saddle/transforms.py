@@ -171,7 +171,7 @@ def eval_K(f: AdmissibleFunction, z: LogSurfacePoint,
     """K(z) = (2 pi i)^{-1} int z^{-s} gamma(s) ds over the chosen contour."""
     if contour is None:
         contour = ContourSpec("l_alpha")
-    tols = tol or Tolerances.for_quadrature()
+    tols = tol or Tolerances()
     if contour.kind == "l_alpha":
         alpha = contour.alpha if contour.alpha is not None else default_alpha(f)
         if not (math.pi / 2 < alpha < f.alpha0 + 1e-12):
@@ -254,7 +254,7 @@ def _series_sum(f: AdmissibleFunction, z: LogSurfacePoint, offset: int,
 def eval_E_series(f: AdmissibleFunction, z, *,
                   tol: Optional[Tolerances] = None) -> QuadratureResult:
     """E(z) = sum_{n>=0} z^n / gamma(n+1); z may be a LogSurfacePoint or 0."""
-    tols = tol or Tolerances.for_quadrature()
+    tols = tol or Tolerances()
     if not isinstance(z, LogSurfacePoint):
         if complex(z) == 0:
             v = complex(np.exp(-f.log_gamma(np.complex128(1.0))))
@@ -267,7 +267,7 @@ def eval_growth_sum(f: AdmissibleFunction, z: LogSurfacePoint, *,
                     tol: Optional[Tolerances] = None) -> QuadratureResult:
     """z E(z) + 1/gamma(0) = sum_{n>=0} z^n / gamma(n), the quantity the
     growth asymptotics describe; the n = 0 term is the 1/gamma(0) limit."""
-    tols = tol or Tolerances.for_quadrature()
+    tols = tol or Tolerances()
     return _series_sum(f, z, offset=0, n_start=1, tols=tols,
                        extra_term=f.one_over_gamma0)
 
@@ -296,7 +296,7 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     """The three terms converting sum z^n/gamma(n) into integrals: the real
     half-line integral of z^sigma/gamma(sigma) plus two vertical
     correction integrals with exponentially small kernels."""
-    tols = tol or Tolerances.for_quadrature()
+    tols = tol or Tolerances()
     if abs(z.psi) > math.pi + 1e-12:
         raise SpecError(f"Abel-Plana route needs |psi| <= pi, got {z.psi:.6g}")
     s0 = sigma0 if sigma0 is not None else default_sigma0(f)
@@ -395,7 +395,7 @@ def moment(f: AdmissibleFunction, n: int, *,
     if n < 0 or int(n) != n:
         raise SpecError(f"moment order must be a nonnegative integer, got {n}")
     n = int(n)
-    tols = tol or Tolerances.for_quadrature()
+    tols = tol or Tolerances()
     rel_floor = max(tols.rel_tol / 30.0, 1e-13)    # tightest inner K tolerance
     drop_log = -math.log(tols.truncation_drop)
 

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 import scipy.special as sp
 
-from mellin_saddle import (BuildError, FunctionSpec, SpecError,
-                           audit_admissibility, build, build_positive_type,
-                           build_theorem3, ell_exp_sqrt_log, ell_power,
-                           exp_scale, gamma_shift, iterated_log, log_of_scale,
-                           monomial_exponent, positive_type_degenerate,
-                           positive_type_factorial, positive_type_iterated_log,
-                           power, product, quotient, shift_normalize)
+from mellin_saddle import (BuildError, FunctionSpec, LogSurfacePoint,
+                           NoSaddleError, SpecError, audit_admissibility,
+                           build, build_positive_type, build_theorem3,
+                           ell_exp_sqrt_log, ell_power, exp_scale, gamma_shift,
+                           iterated_log, log_of_scale, monomial_exponent,
+                           positive_type_degenerate, positive_type_factorial,
+                           positive_type_iterated_log, power, product,
+                           quotient, shift_normalize, solve)
 from mellin_saddle.catalog import SlowlyVaryingEll
 
 
@@ -240,6 +241,18 @@ def test_degenerate_measure_flagged():
     f = build_positive_type(positive_type_degenerate(0.7))
     assert f.degenerate
     assert complex(f.log_gamma(3.0 + 0j)) == pytest.approx(2.1, rel=1e-12)
+
+
+def test_degenerate_weight_solves_and_audits_without_warnings():
+    # eps is identically 0, so the (B) ratio and the (C) spread are 0/0:
+    # they read "not slow-varying" and leak no RuntimeWarning (an error
+    # under this suite's warning filter)
+    f = build_positive_type(positive_type_degenerate(0.5))
+    assert f.default_rho0() == 1e6
+    with pytest.raises(NoSaddleError):
+        solve(f, LogSurfacePoint(1.0, 0.0))
+    rep = audit_admissibility(f)
+    assert not rep.passed and math.isnan(rep.conditions[2].metric)
 
 
 def test_negative_density_rejected():

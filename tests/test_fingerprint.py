@@ -1,7 +1,10 @@
-"""tools/fingerprint.py compare, run as a script on hand-written dumps."""
+"""tools/fingerprint.py: compare, run as a script on hand-written dumps, and
+the labels of the calls that dump makes."""
+import importlib.util
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,44 @@ def test_cli_digest_counts_exit_code_fails(tmp_path):
     out = _compare(tmp_path, failed, CLI)
     assert out.returncode == 1, out.stdout + out.stderr
     assert "exit code: cli iterated_log audit: 0 -> 1" in out.stdout
+
+
+REGION = [
+    "classify gamma_shift0 r=10 psi=0\t('inside', 7.943282347242816)",
+    "K_asymptotic gamma_shift0 r=10 psi=0\t"
+    "((4.6901557462491754e-05+0j), 0.0, 'inside')",
+    "K_asymptotic gamma_shift0 r=2 psi=0\tRegionError: decay asymptotics "
+    "not applicable",
+]
+
+
+def test_region_lines_move_and_raise(tmp_path):
+    # classify and K_asymptotic carry no bar: a moved value or a flipped
+    # tag is counted, a refusal that turns into a value is a finding
+    moved = [REGION[0], REGION[1].replace("4.6901557462491754e-05", "4.7e-05"),
+             REGION[2]]
+    out = _compare(tmp_path, moved, REGION)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert re.search(r"^K_asymptotic\s+1\s+1\s+0.00209$", out.stdout, re.M), \
+        out.stdout
+    assert re.search(r"^classify\s+0\s+1\s+0$", out.stdout, re.M), out.stdout
+    flipped = [REGION[0].replace("'inside'", "'outside'"), REGION[1],
+               REGION[2].split("\t")[0] + "\t((1+0j), 0.0, 'inside')"]
+    out = _compare(tmp_path, flipped, REGION)
+    assert out.returncode == 1, out.stdout + out.stderr
+    assert "raise/return: K_asymptotic gamma_shift0 r=2" in out.stdout
+    assert re.search(r"^classify\s+1\s+0\s+inf$", out.stdout, re.M), out.stdout
+
+
+def test_dump_has_429_labelled_calls():
+    # calls() builds the four weights and the thunks; no thunk runs here
+    spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
+    fp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(fp)
+    labels = [label for label, _ in fp.calls()]
+    assert len(labels) == len(set(labels)) == 429
+    kinds = Counter(label.split(" ", 1)[0] for label in labels)
+    for kind in ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
+                 "boundary_psi", "point_with_saddle_radius"):
+        assert kinds[kind] == 36, kind
+    assert (kinds["weight"], kinds["cli"]) == (12, 11)

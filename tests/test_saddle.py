@@ -8,10 +8,11 @@ import pytest
 import scipy.special as sp
 
 from mellin_saddle import (E_asymptotic, K_asymptotic, LogSurfacePoint,
-                           NoSaddleError, SpecError, boundary_psi,
+                           NoSaddleError, RegionError, SpecError, boundary_psi,
                            build_theorem3, classify, ell_power, exp_scale,
-                           gamma_shift, iterated_log, point_with_saddle_radius,
-                           power, product, quotient, solve, solve_real)
+                           gamma_shift, iterated_log, local_gaussian_saddle,
+                           point_with_saddle_radius, power, product,
+                           QuadratureError, quotient, solve, solve_real)
 from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
 
@@ -178,6 +179,36 @@ def test_classify_without_a_ray_root(iterlog):
     with pytest.raises(NoSaddleError):
         solve(iterlog, z)
     assert classify(iterlog, z, 1.0).kind == "no_saddle"
+
+
+def _refused(fn, f, z):
+    """True when fn(f, z) raises RegionError; a value, or the chord's
+    QuadratureError past the double range, is not a refusal."""
+    try:
+        fn(f, z)
+    except RegionError:
+        return True
+    except QuadratureError:
+        pass
+    return False
+
+
+@pytest.mark.parametrize("r", [2.0, 5.0, 10.0])
+@pytest.mark.parametrize("psi", [0.0, 1.0, 2.5])
+@pytest.mark.parametrize("weight", ["gamma0", "gamma1", "iterlog",
+                                    "theorem3_power"])
+def test_one_region_rule(request, weight, r, psi):
+    # solve, classify, the K form and the chord all tag by RegionTag.of:
+    # solve at alpha0 - 0.02, the K form and the chord at alpha0 - 0.1,
+    # every one of them against the same rho0.  iterlog at r = 5, psi = 0
+    # (rho_z = 48.17 < rho0 = 1995.26) is where the chord, testing only
+    # the angle, returned a value 5.3% off its reference, unflagged
+    f = request.getfixturevalue(weight)
+    z = LogSurfacePoint(math.log(r), psi)
+    assert solve(f, z)[1].kind == classify(f, z, f.alpha0 - 0.02).kind
+    decay = classify(f, z, f.alpha0 - 0.1)
+    for fn in (K_asymptotic, local_gaussian_saddle):
+        assert _refused(fn, f, z) == (not decay.inside), fn.__name__
 
 
 def test_boundary_psi_trivialities(gamma0):

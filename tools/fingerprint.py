@@ -8,16 +8,18 @@ eval_growth_sum and eval_abel_plana_rhs on the four benchmark weights at r
 in {2, 5, 10} and psi in {0, 1, 2.5}; eval_E_series at 0 for each weight;
 and moment for n = 1..3 on gamma_shift(0) and theorem3: 190 lines, with
 payload repr((value, abs_error, nodes, log_scale, converged)).  The saddle
-lines are solve at the same 36 (weight, r, psi) points, with payload
-repr((s_z, theta_z, iterations)), or repr of the region tag when there is
-no solution; and boundary_psi on the four weights at r in {2, 5, 10} and
-alpha in {0.5, pi/2, 2.5}, with payload repr(psi).  Two more saddle kinds
-follow: point_with_saddle_radius on the four weights at rho* in
-{10, 35, 100} and psi in {0, 0.9, -1.5}, with payload
-repr((log_r, psi, s)), and local_gaussian_saddle at the 36 solve points,
-with payload repr(value).  The weight kind has one line for each of 12
-weights of the weight layer (powers, a product and a quotient of
-gamma_shift and iterated_log, shift_normalize, exp_scale, log_of_scale,
+lines come next.  At the same 36 (weight, r, psi) points: solve, with
+payload repr((s_z, theta_z, iterations)), or repr of the region tag when
+there is no solution; classify at alpha = pi/2, with payload
+repr((kind, rho0_used)); K_asymptotic, with payload
+repr((value, log_scale, region kind)); and local_gaussian_saddle, with
+payload repr(value).  Then boundary_psi on the four weights at r in
+{2, 5, 10} and alpha in {0.5, pi/2, 2.5}, with payload repr(psi), and
+point_with_saddle_radius on the four weights at rho* in {10, 35, 100} and
+psi in {0, 0.9, -1.5}, with payload repr((log_r, psi, s)).  The weight
+kind has one line for each of 12 weights of the weight layer (powers, a
+product and a quotient of gamma_shift and iterated_log, shift_normalize,
+exp_scale, log_of_scale,
 theorem3 with exp_sqrt_log, the three positive-type presets and
 monomial_exponent), with payload repr of: the jets of orders 0-2 at a
 fixed 2x2 complex array, phi_log at three points either side of the jet
@@ -26,7 +28,7 @@ epsilon_limsup_estimate(), one_over_gamma0 and the audit's to_dict().
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 357 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 429 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -73,8 +75,8 @@ MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
-UNBARRED = ("solve", "boundary_psi", "point_with_saddle_radius",
-            "local_gaussian_saddle", "weight")     # no error bar
+UNBARRED = ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
+            "boundary_psi", "point_with_saddle_radius", "weight")  # no bar
 NO_BAR = UNBARRED + ("cli",)
 # weight-layer lines: name -> the weight, built from the package
 WEIGHT_LAYER = {
@@ -123,6 +125,14 @@ def _solved(sol_tag):
     sol, tag = sol_tag
     return repr(str(tag)) if sol is None else \
         repr((sol.s_z, sol.theta_z, sol.iterations))
+
+
+def _classified(tag):
+    return repr((tag.kind, tag.rho0_used))
+
+
+def _asymptotic(a):
+    return repr((a.value, a.log_scale, a.region.kind))
 
 
 def _placed(z_s):
@@ -185,12 +195,19 @@ def calls():
         for n in MOMENT_ORDERS:
             out.append((f"moment {name} n={n}", lambda f=weights[name], n=n:
                         _evaluated(ms.moment(f, n))))
-    for name, f in weights.items():
-        for r in RADII:
-            for psi in PSIS:
-                z = ms.LogSurfacePoint(math.log(r), psi)
-                out.append((f"solve {name} r={r:g} psi={psi:g}",
-                            lambda f=f, z=z: _solved(ms.solve(f, z))))
+    at_saddle_points = {
+        "solve": lambda f, z: _solved(ms.solve(f, z)),
+        "classify": lambda f, z: _classified(ms.classify(f, z, 0.5 * math.pi)),
+        "K_asymptotic": lambda f, z: _asymptotic(ms.K_asymptotic(f, z)),
+        "local_gaussian_saddle": lambda f, z: repr(ms.local_gaussian_saddle(f, z)),
+    }
+    for kind, fn in at_saddle_points.items():
+        for name, f in weights.items():
+            for r in RADII:
+                for psi in PSIS:
+                    z = ms.LogSurfacePoint(math.log(r), psi)
+                    out.append((f"{kind} {name} r={r:g} psi={psi:g}",
+                                lambda fn=fn, f=f, z=z: fn(f, z)))
     for name, f in weights.items():
         for r in RADII:
             for alpha in ALPHAS:
@@ -203,13 +220,6 @@ def calls():
                 out.append((f"point_with_saddle_radius {name} rho*={rho:g} "
                             f"psi={psi:g}", lambda f=f, rho=rho, psi=psi:
                             _placed(ms.point_with_saddle_radius(f, rho, psi))))
-    for name, f in weights.items():
-        for r in RADII:
-            for psi in PSIS:
-                z = ms.LogSurfacePoint(math.log(r), psi)
-                out.append((f"local_gaussian_saddle {name} r={r:g} psi={psi:g}",
-                            lambda f=f, z=z:
-                            repr(ms.local_gaussian_saddle(f, z))))
     for name, make in WEIGHT_LAYER.items():
         out.append((f"weight {name}", lambda make=make: _weighed(make(ms))))
     for name, argv in CLI_RUNS:
