@@ -17,6 +17,13 @@ weight one Cauchy sum), `dlog_gamma`, `epsilon` and `epsilon_sup` for 1,
 1, where the saddle solver's ray bracket reads Phi alone).  A field is
 bit-identical at every order that carries it.
 
+A jet takes s as an ndarray or as one number, with the same `jet_fn`:
+one number (a Python complex, numpy's complex128 included) travels as a
+Python complex, so the fields come back as Python or numpy complex
+scalars, never as 0-d arrays.  The saddle layer passes one point at a
+time this way, and pays Python operations instead of numpy calls; the
+kernel weights sum their Cauchy kernels on arrays either way.
+
 Builders cover: shifted factorial weights Gamma(s+c), exponential
 rescaling, shift-normalization, iterated-log weights exp(a*s*log_k^b(s+c)),
 powers/products/quotients, the (log L(s+1))^s closure, slowly-varying
@@ -24,6 +31,7 @@ integral constructors, and Stieltjes-positive integral representations.
 """
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass, field
@@ -33,7 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import BuildError, NoSaddleError, SpecError
-from .jet import Jet2
+from .jet import Jet2, as_points
 from .special import digamma, loggamma, trigamma
 
 _EULER_GAMMA = 0.5772156649015328606
@@ -67,7 +75,7 @@ class AdmissibleFunction:
     so instances can be shared freely across threads.
     """
 
-    def __init__(self, label: str, jet_fn: Callable[[np.ndarray, int], Jet2],
+    def __init__(self, label: str, jet_fn: Callable[..., Jet2],
                  c_gamma: float, alpha0: float, *,
                  positive_type: bool = False, degenerate: bool = False,
                  phi_log_fn: Optional[Callable] = None):
@@ -87,32 +95,29 @@ class AdmissibleFunction:
     # -- evaluation ---------------------------------------------------------
 
     def jet(self, s, order: int = 2) -> Jet2:
-        """The jet of log gamma at s, with the fields up to order (0, 1, 2)."""
-        s = np.asarray(s, dtype=complex)
-        return self._jet_fn(s, order)
-
-    def _scalar_ok(self, s, arr):
-        return complex(arr) if np.ndim(s) == 0 else arr
+        """The jet of log gamma at s, with the fields up to order (0, 1, 2):
+        complex scalars for one number s, complex ndarrays otherwise."""
+        return self._jet_fn(as_points(s), order)
 
     def log_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s, 0).val)
+        return self.jet(s, 0).val
 
     def dlog_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s, 1).d1)
+        return self.jet(s, 1).d1
 
     def d2log_gamma(self, s):
-        return self._scalar_ok(s, self.jet(s, 2).d2)
+        return self.jet(s, 2).d2
 
     def epsilon(self, s):
-        sa = np.asarray(s, dtype=complex)
-        j = self.jet(sa, 1)
-        return self._scalar_ok(s, j.d1 - j.val / sa)
+        s = as_points(s)
+        j = self.jet(s, 1)
+        return j.d1 - j.val / s
 
     def epsilon_prime(self, s):
-        sa = np.asarray(s, dtype=complex)
-        j = self.jet(sa, 2)
-        eps = j.d1 - j.val / sa
-        return self._scalar_ok(s, j.d2 - eps / sa)
+        s = as_points(s)
+        j = self.jet(s, 2)
+        eps = j.d1 - j.val / s
+        return j.d2 - eps / s
 
     # -- Phi in w = log s, for the saddle solver ------------------------------
 
@@ -128,18 +133,19 @@ class AdmissibleFunction:
         asymptotic form past that; a weight without one raises
         NoSaddleError there.  order=1 asks for Phi alone: the jet is then
         taken at order 1 and gives None for dPhi/dw (the asymptotic forms
-        give both at no cost).
+        give both at no cost).  One number w gives complex scalars.
         """
-        w = np.asarray(w, dtype=complex)
+        w = as_points(w)
+        one = isinstance(w, complex)
         far = w.real >= _JET_LOG_RADIUS
-        if not np.any(far):
-            s = np.exp(w)
+        if not (far if one else np.any(far)):
+            s = cmath.exp(w) if one else np.exp(w)
             j = self.jet(s, order)
             return j.d1, s * j.d2 if order >= 2 else None
         if self._phi_log_fn is None:
             raise NoSaddleError(f"{self.label}: Phi is known only from the jet, "
                                 f"up to |s| = e^{_JET_LOG_RADIUS:g}")
-        if np.all(far):
+        if one or np.all(far):
             return self._phi_log_fn(w)
         phi = np.empty_like(w)
         dphi = np.empty_like(w)
@@ -232,7 +238,8 @@ def gamma_shift(c: float = 0.0) -> AdmissibleFunction:
 
     def phi_log_fn(w):
         # digamma(s) ~ log s once |s| is huge; ds/dw * psi'(s) = s psi'(s) -> 1
-        return w.copy(), np.ones_like(w)
+        # (+w copies an array; 0 * w + 1 is 1 in w's form, w finite)
+        return +w, 0.0 * w + 1.0
 
     return AdmissibleFunction(f"gamma(s+{c:g})" if c else "gamma(s)",
                               jet_fn, c, math.pi, phi_log_fn=phi_log_fn)
@@ -261,9 +268,9 @@ def iterated_log(a: float = 1.0, b: float = 1.0, k: int = 1,
     ab = a * b
 
     def jet_fn(s, order):
-        base = Jet2.variable(s, order) + c
-        m = _iterated_log_jet(base, k + 1)       # log_{k+1}(s+c)
-        return Jet2.variable(s, order) * m * ab
+        v = Jet2.variable(s, order)
+        m = _iterated_log_jet(v + c, k + 1)       # log_{k+1}(s+c)
+        return v * m * ab
 
     def phi_log_fn(w):
         # Phi(s) = a b (M + s M') with M = log_{k+1}(s), s + c taken as s
@@ -395,6 +402,9 @@ def monomial_exponent(p: float, coeff: float = 1.0) -> AdmissibleFunction:
     """gamma(s) = exp(coeff * s^p); p > 1 controls for audits/Carleman."""
 
     def jet_fn(s, order):
+        # numpy's power, also for one point: past the double range it gives
+        # inf where a Python complex power raises OverflowError
+        s = np.asarray(s)
         return Jet2(coeff * s ** p,
                     coeff * p * s ** (p - 1.0) if order >= 1 else None,
                     coeff * p * (p - 1.0) * s ** (p - 2.0) if order >= 2 else None)
@@ -458,24 +468,32 @@ _ELL_PRESETS = {
 
 def _cauchy_sums(s, u, w, count):
     """[sum_j w_j (s + u_j)^{-m} for m = 1..count] at the flat complex
-    points s, taken in blocks of about 4e6 terms."""
-    sums = [np.empty_like(s) for _ in range(count)]
+    points s, taken in blocks of about 4e6 terms: one reciprocal of
+    (s + u) per block, in place, then a product per power, the first one
+    in place as well when no higher power needs the reciprocal.  The nodes
+    u and weights w come as complex arrays, so that no call casts them."""
     chunk = max(1, int(4e6 // max(u.size, 1)))
-    for k in range(0, s.size, chunk):
-        d = s[k:k + chunk, None] + u[None, :]
-        r = w[None, :] / d
-        sums[0][k:k + chunk] = r.sum(axis=1)
-        for out in sums[1:]:
-            r /= d
-            out[k:k + chunk] = r.sum(axis=1)
+    if s.size > chunk:
+        blocks = [_cauchy_sums(s[k:k + chunk], u, w, count)
+                  for k in range(0, s.size, chunk)]
+        return [np.concatenate(sums) for sums in zip(*blocks)]
+    d = s[:, None] + u
+    np.reciprocal(d, out=d)
+    r = np.multiply(w, d, out=d if count == 1 else None)
+    sums = [r.sum(axis=1)]
+    for _ in range(1, count):
+        r *= d
+        sums.append(r.sum(axis=1))
     return sums
 
 
 def _cauchy_jet(s, q, i, order, ab=None):
     """Jet of log gamma = (A + B s +) q^2 I1 at s, from the flat Cauchy
     sums i = [I1, .., I_{order+1}] of the kernel 1/(s+u); ab = (A, B) is
-    added only when given, so q^2 I1 alone rounds as written."""
-    i = [arr.reshape(s.shape) for arr in i]
+    added only when given, so q^2 I1 alone rounds as written.  One number
+    s gets Python complex fields."""
+    i = ([arr.item() for arr in i] if isinstance(s, complex)
+         else [arr.reshape(s.shape) for arr in i])
     val = q * q * i[0]
     if ab is not None:
         val = ab[0] + ab[1] * s + val
@@ -508,11 +526,12 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
     value depends on the calls made before it.  In v = log(u/c) a grid
     runs 45 past log(s_cover/c), on 15-point Gauss panels 0.5 long.
     """
-    grids = {}      # s_cover -> (nodes u, weights)
+    grids = {}      # s_cover -> (nodes u, weights), complex
 
     def jet_fn(s, order):
-        flat = s.ravel()
-        amax = float(np.max(np.abs(flat))) if flat.size else 1.0
+        flat = np.ravel(s)
+        amax = (abs(s) if isinstance(s, complex) else
+                float(np.abs(flat).max()) if flat.size else 1.0)
         s_cover = 1e8
         while s_cover < amax:
             s_cover *= 10.0
@@ -521,7 +540,8 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
             n_panels = max(8, int(math.ceil(v_max / 0.5)))
             v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
             u = ell.c * np.exp(v)
-            grids[s_cover] = (u, wv * (np.asarray(ell.dlog_ell(u), dtype=float) * u))
+            wts = wv * (np.asarray(ell.dlog_ell(u), dtype=float) * u)
+            grids[s_cover] = (u + 0j, wts + 0j)
         return _cauchy_jet(s, s, _cauchy_sums(flat, *grids[s_cover], order + 1),
                            order)
 
@@ -621,10 +641,11 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
 
     cut, k1, k2, saw = spec.support_cut, spec.tail_kappa1, spec.tail_kappa2, spec.tail_sawtooth
     a0, A, B = spec.a, spec.A, spec.B
+    uc, wc = u + 0j, wts + 0j
 
     def jet_fn(s, order):
-        flat = s.ravel()
-        i = _cauchy_sums(flat, u, wts, order + 1)
+        flat = np.ravel(s)
+        i = _cauchy_sums(flat, uc, wc, order + 1)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
             tails = _tail_closed_forms(flat, cut, k1, k2, saw, order + 1)
             i = [im + tm for im, tm in zip(i, tails)]

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -319,7 +320,10 @@ def _run_audit(args) -> int:
     return 0 if rep.passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as it
+    was, so every call of main reads the same parser."""
     p = argparse.ArgumentParser(prog="mellin-saddle",
                                 description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)

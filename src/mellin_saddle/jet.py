@@ -3,8 +3,11 @@ second derivatives.
 
 Weight functions expose log gamma as a jet so that the saddle solver's
 Phi = (log gamma)' and Phi' = (log gamma)'' come out of exact chain-rule
-composition instead of nested finite differences.  All fields broadcast,
-so a jet evaluated on an ndarray of points stays vectorized.
+composition instead of nested finite differences.  The fields are
+either complex ndarrays, which broadcast, or Python complex numbers: the
+same arithmetic serves both, so a jet evaluated on an ndarray of points
+stays vectorized, and a jet at one point, which is what the saddle layer
+evaluates, costs Python operations instead of numpy calls.
 
 A jet has an order: 0 carries the value alone, 1 adds f', 2 adds f''.
 The fields past the order are None and are never computed, and each
@@ -14,7 +17,16 @@ of the order-2 jet.  Arithmetic between jets keeps the lower order.
 """
 from __future__ import annotations
 
+import cmath
+
 import numpy as np
+
+_NUMBER = (complex, float, int)     # one point: numpy's complex128 and float64 too
+
+
+def as_points(s):
+    """s as a Python complex when it is one number, else as a complex ndarray."""
+    return complex(s) if isinstance(s, _NUMBER) else np.asarray(s, dtype=complex)
 
 
 class Jet2:
@@ -30,7 +42,9 @@ class Jet2:
 
     @classmethod
     def variable(cls, s, order: int = 2) -> "Jet2":
-        s = np.asarray(s, dtype=complex)
+        s = as_points(s)
+        if isinstance(s, complex):
+            return cls(s, 1.0 if order >= 1 else None, 0.0 if order >= 2 else None)
         return cls(s, np.ones_like(s) if order >= 1 else None,
                    np.zeros_like(s) if order >= 2 else None)
 
@@ -50,7 +64,7 @@ class Jet2:
                     -self.d2 if n >= 2 else None)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
+        return self + (-other)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
@@ -78,13 +92,15 @@ class Jet2:
         return self * other.reciprocal()
 
     def log(self) -> "Jet2":
+        v = self.val
         n = self.order
-        g = self.d1 / self.val if n >= 1 else None
-        return Jet2(np.log(self.val), g,
-                    self.d2 / self.val - g * g if n >= 2 else None)
+        g = self.d1 / v if n >= 1 else None
+        return Jet2(cmath.log(v) if isinstance(v, complex) else np.log(v), g,
+                    self.d2 / v - g * g if n >= 2 else None)
 
     def exp(self) -> "Jet2":
-        e = np.exp(self.val)
+        v = self.val
+        e = cmath.exp(v) if isinstance(v, complex) else np.exp(v)
         n = self.order
         return Jet2(e, e * self.d1 if n >= 1 else None,
                     e * (self.d2 + self.d1 * self.d1) if n >= 2 else None)

@@ -17,7 +17,9 @@ at one point share one ray root and one continuation, and a repeat
 returns the stored result without evaluating Phi.
 
 Roots are taken to a residual of _ROOT_TOL = 1e-10 relative to
-1 + |log z| (solve_real_log: 1e-12).  solve_real and solve refuse saddle
+1 + |log z| (solve_real_log: 1e-12); a continuation's Newton also needs
+its last step in w below _STEP_TOL = 1e-8.  Phi is evaluated one point
+at a time, as a Python complex.  solve_real and solve refuse saddle
 radii past 1e290; solve_real_log and solve_log_domain reach them
 (log_rho_z holds the radius, rho_z is inf).
 boundary_psi (Re Phi = log r up to theta = alpha) and
@@ -37,6 +39,7 @@ from .errors import ContinuationError, NoSaddleError, SpecError
 from .surface import LogSurfacePoint
 
 _ROOT_TOL = 1e-10           # relative residual of every root but solve_real_log's
+_STEP_TOL = 1e-8            # the last Newton step of a saddle, in w = log s
 _EDGE_DELTA = 0.02          # sector-edge margin alpha0 - delta for continuation
 _LOG_RHO_MAX = math.log(1e290)    # solve_real and solve stay in double range
 _LOG_RHO_MIN = math.log(1e-280)   # e^w below this is not evaluated
@@ -194,18 +197,21 @@ def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
               tol_resid: float):
     """Newton for Phi(e^w) = target from w: (w, |resid|, evaluations), or
     None when it does not converge in 12 evaluations or a step leaves the
-    range of Phi (e^w underflows, dPhi/dw is 0 or not finite)."""
+    range of Phi (e^w underflows, dPhi/dw is 0 or not finite).  Converged
+    means |resid| <= tol_resid and a Newton step of at most _STEP_TOL:
+    where |dPhi/dw| << 1 a small residual alone does not pin theta_z."""
     for it in range(1, 13):
         try:
             phi, dphi = _phi_w(f, w)
         except NoSaddleError:
             return None
-        resid = phi - target
-        if abs(resid) <= tol_resid:
-            return w, abs(resid), it
         if dphi == 0 or not cmath.isfinite(dphi):
             return None
-        w = w - resid / dphi
+        resid = phi - target
+        step = resid / dphi
+        if abs(resid) <= tol_resid and abs(step) <= _STEP_TOL:
+            return w, abs(resid), it
+        w = w - step
     return None
 
 

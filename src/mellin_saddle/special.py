@@ -3,9 +3,15 @@
 scipy provides loggamma and digamma for complex arguments; trigamma
 (psi') is only wrapped for real input, so it is built here from the
 standard recurrence plus the asymptotic series, with a reflection step
-for points far out near the negative real axis.
+for points far out near the negative real axis.  It takes an ndarray or
+one number: a finite Python complex (numpy's complex128 included) stays
+one, and is worked in cmath by the same recurrence and series, so a
+point of the saddle layer costs no numpy call.
 """
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 import scipy.special as _sp
@@ -30,18 +36,43 @@ _ASYMPT_RE = 10.0  # asymptotic series kicks in once Re z >= this (or |Im| large
 def _trigamma_asymptotic(z):
     w = 1.0 / z
     w2 = w * w
-    acc = np.zeros_like(z)
+    acc = 0.0
     for c in reversed(_TRIGAMMA_COEF):
         acc = (acc + c) * w2
     return w + 0.5 * w2 + acc * w
 
 
+def _recurrence(z, n, steps: int):
+    """(sum_{k<n} 1/(z+k)^2, z + n), taken over k < steps, steps >= n:
+    psi'(z) is the sum plus psi'(z + n).  n is one count for one point, or
+    one count per point of an array z; (k < n) drops the terms past each."""
+    acc = 0.0
+    for k in range(steps):
+        t = 1.0 / (z + k)
+        acc = acc + t * t * (k < n)
+    return acc, z + n
+
+
 def trigamma(z):
-    """psi'(z) for real or complex z (vectorized).
+    """psi'(z) for real or complex z, one number or an ndarray.
 
     Accurate to ~1e-14 relative away from the poles at 0, -1, -2, ...,
     and inf at them.
     """
+    if isinstance(z, complex) and cmath.isfinite(z):
+        z = complex(z)
+        if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
+            return complex(math.inf, 0.0)
+        # the reflection and the shift below, on one point
+        if z.real < -_ASYMPT_RE and abs(z.imag) < 50.0:
+            s = cmath.sin(math.pi * (z - 2.0 * round(0.5 * z.real)))
+            return (math.pi / s) ** 2 - trigamma(1.0 - z)
+        acc = 0.0
+        if z.real < _ASYMPT_RE and abs(z.imag) < 50.0:
+            n = math.ceil(_ASYMPT_RE - z.real)
+            acc, z = _recurrence(z, n, n)
+        return acc + _trigamma_asymptotic(z)
+
     z = np.asarray(z, dtype=complex)
     scalar = z.ndim == 0
     z = np.atleast_1d(z)
@@ -69,13 +100,7 @@ def trigamma(z):
     acc = np.zeros_like(zz)
     need = np.nonzero((zz.real < _ASYMPT_RE) & (np.abs(zz.imag) < 50.0))[0]
     if need.size:
-        zn = zz[need]
-        n = np.ceil(_ASYMPT_RE - zn.real)
-        k = np.arange(n.max())
-        terms = np.reciprocal(zn[:, None] + k)
-        terms *= terms
-        terms[k >= n[:, None]] = 0.0
-        acc[need] = terms.sum(axis=1)
-        zz[need] = zn + n
+        n = np.ceil(_ASYMPT_RE - zz[need].real)
+        acc[need], zz[need] = _recurrence(zz[need], n, int(n.max()))
     out[work] = acc + _trigamma_asymptotic(zz)
     return out[0] if scalar else out

@@ -16,6 +16,7 @@ from mellin_saddle import (BuildError, FunctionSpec, LogSurfacePoint,
                            positive_type_iterated_log, power, product,
                            quotient, shift_normalize, solve)
 from mellin_saddle.catalog import SlowlyVaryingEll
+from mellin_saddle.jet import Jet2
 
 
 def _random_sector_points(f, n=100, rho_hi=100.0, seed=11):
@@ -480,3 +481,58 @@ def test_kernel_jet_takes_one_cauchy_sum_per_order(monkeypatch, theorem3_power):
     theorem3_power.epsilon(7.0 + 0j)
     theorem3_power.d2log_gamma(7.0 + 0j)
     assert counts == [1, 2, 3]
+
+
+@pytest.mark.parametrize("s", [3.0 + 0.7j, 0.6 + 0j, 25.0 - 9.0j, 400.0 + 1e3j])
+@pytest.mark.parametrize("kind", _ORDER_KINDS)
+def test_jet_scalar_and_array_agree(order_weights, kind, s):
+    # one number travels as a Python complex, with the same jet_fn as an
+    # array: the fields agree to rounding, and none is a 0-d array
+    f = order_weights[kind]
+    for order in (0, 1, 2):
+        one, arr = f.jet(s, order), f.jet(np.array([s]), order)
+        for got, want in [(one.val, arr.val), (one.d1, arr.d1), (one.d2, arr.d2)]:
+            if want is None:
+                assert got is None
+                continue
+            assert not isinstance(got, np.ndarray)
+            assert abs(got - want[0]) <= 1e-14 * abs(want[0])
+
+
+@pytest.mark.parametrize("kind", _ORDER_KINDS)
+def test_phi_log_of_one_point_is_a_scalar(order_weights, kind):
+    f = order_weights[kind]
+    ws = [math.log(30.0) + 0.4j, np.complex128(2.0 - 1.0j)]
+    if f.has_log_domain:
+        ws.append(310.0 + 0.5j)     # the family's far form
+    for w in ws:
+        phi1, dphi1 = f.phi_log(w, 1)
+        phi, dphi = f.phi_log(w)
+        assert dphi1 is None or w.real >= 300.0
+        for x in (phi1, phi, dphi):
+            assert isinstance(x, complex) and not isinstance(x, np.ndarray)
+        phi_arr, dphi_arr = f.phi_log(np.array([w]))
+        assert abs(phi - phi_arr[0]) <= 1e-14 * abs(phi_arr[0])
+        assert abs(dphi - dphi_arr[0]) <= 1e-14 * abs(dphi_arr[0])
+
+
+def _theorem3_power_closed_form(s, a, c):
+    # ell = (1+u)^a from c: log gamma(s) = a s^2 log((s+c)/(1+c)) / (s-1)
+    v = Jet2.variable(s)
+    return ((v + c) * (1.0 / (1.0 + c))).log() * v * v * a / (v - 1.0)
+
+
+@pytest.mark.parametrize("radius", [2.0, 10.0, 1e3, 1e6])
+def test_theorem3_kernel_matches_closed_form(theorem3_power, radius):
+    # the Cauchy-kernel sum against the closed form of its ell_power(1, 1)
+    # weight, up to |theta| = 2.7, on one point and on an array
+    thetas = np.linspace(-2.7, 2.7, 19)
+    pts = radius * np.exp(1j * thetas)
+    want = _theorem3_power_closed_form(pts, 1.0, 1.0)
+    arr = theorem3_power.jet(pts)
+    for k, s in enumerate(pts):
+        one = theorem3_power.jet(complex(s))
+        for field in ("val", "d1", "d2"):
+            w = getattr(want, field)[k]
+            assert abs(getattr(one, field) - w) <= 1e-13 * abs(w)
+            assert abs(getattr(arr, field)[k] - w) <= 1e-13 * abs(w)

@@ -299,3 +299,21 @@ def test_max_nodes_env(capsys, monkeypatch):
                                  "--at", "r=5,psi=0")
         assert code == 2 and "spec error" in err, err
     monkeypatch.delenv("MELLIN_MAX_NODES")
+
+
+def test_parser_built_once_keeps_calls_apart(capsys):
+    # one parser serves every call of a process: a refused flag leaves
+    # nothing behind for the calls after it
+    from mellin_saddle.cli import build_parser
+
+    calls = [("eval-K", "--at", "r=2", "--bogus", "1"),
+             ("eval-K", "--at", "r=2,psi=0.5"),
+             ("saddle", "--at", "r=5,psi=0.3")]
+    shared = [run_cli(capsys, *argv, "--spec", GAMMA) for argv in calls]
+    assert build_parser() is build_parser()
+    fresh = []
+    for argv in calls:
+        build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv, "--spec", GAMMA))
+    assert [c[0] for c in shared] == [2, 0, 0]
+    assert shared == fresh

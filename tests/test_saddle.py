@@ -365,13 +365,24 @@ def test_boundary_psi_exact_where_phi_is(gamma0):
 
 
 def test_boundary_psi_refusals(gamma0, iterlog):
-    # the level curve of log r = 0 folds back near theta = 1.81, short of
-    # 2; at log r = 50, psi on the curve is about 1e-22, below what the
-    # confirming continuation resolves
+    # the level curve of log r = 0 folds back near theta = 1.81, short of 2
     with pytest.raises(NoSaddleError):
         boundary_psi(gamma0, 0.0, 2.0)
-    with pytest.raises(NoSaddleError):
-        boundary_psi(iterlog, 50.0, 0.5)
+    # at log r = 50, psi on the curve is about 1e-22 and |dPhi/dw| about
+    # 2e-22; the confirming continuation resolves it, since a Newton step
+    # in w must be small as well as the residual
+    psi = boundary_psi(iterlog, 50.0, 0.5)
+    assert 0.0 < psi < 1e-21
+    sol, _ = solve_log_domain(iterlog, LogSurfacePoint(50.0, psi))
+    assert abs(sol.theta_z - 0.5) <= 1e-8
+
+
+def test_newton_stops_on_its_step(iterlog):
+    # |resid| = psi is below the residual tolerance at theta = 0 already;
+    # the step psi / |dPhi/dw| ~ 0.5 is not, so the ray root is no saddle
+    sol, tag = solve_log_domain(iterlog, LogSurfacePoint(50.0, 9.64375e-23))
+    assert sol is not None and tag.inside
+    assert abs(sol.theta_z - 0.5) <= 1e-6
 
 
 def _count_phi(monkeypatch):

@@ -74,3 +74,25 @@ def test_trigamma_at_poles(gamma0):
     got = trigamma(mixed)
     assert np.isinf(got.real).sum() == 3
     assert got[np.isfinite(got)].tobytes() == trigamma(regular).tobytes()
+
+
+def test_trigamma_scalar_and_array_agree():
+    # one number is worked in cmath by the same pole, reflection, shift
+    # and series rules as an array; each branch is visited
+    z = np.array([
+        0.0, -3.0, -12.0, -230.0,                       # poles: inf
+        -15.5 + 0.1j, -300.2 - 49.0j, -10.5 + 3.0j,     # reflection
+        0.3 + 0j, -9.7 + 1.0j, 2.0 - 30.0j, 9.99 + 49.9j,   # the shift
+        -80.0 + 50.0j, 3.0 - 120.0j,                    # |Im z| >= 50
+        10.0 + 0j, 1e5 + 3.0j, 1e12 - 1e11j,            # Re z >= 10
+    ], dtype=complex)
+    arr = trigamma(z)
+    for x, want in zip(z, arr):
+        got = trigamma(complex(x))
+        assert type(got) is complex
+        if np.isinf(want.real):
+            assert got.real == np.inf
+        else:
+            assert abs(got - want) <= 1e-15 * abs(want)
+    # a non-finite point takes the array's rules
+    assert trigamma(complex(-np.inf, 0.0)).real == np.inf
