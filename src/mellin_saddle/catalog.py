@@ -35,7 +35,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -51,6 +51,12 @@ _K_DELTA = 0.1   # K's form, the saddle chord and the (C) fans: alpha0 - 0.1
 # |s| ~ 1e154 the jets' s^2 overflows and d2 drops a term, so Newton on
 # (Phi, dPhi/dw) would converge only linearly; the cut keeps a margin.
 _JET_LOG_RADIUS = 300.0
+
+# terms per block of a Cauchy sum: 256 KB temporaries, reused call to call
+# (at 2^15 malloc returned them each call: page faults, twice the time)
+_CAUCHY_BLOCK = 2 ** 14
+# Gauss-Legendre rules, 0.4 ms each: made on first use (it starts up LAPACK)
+_gauss_rule = cache(np.polynomial.legendre.leggauss)
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
@@ -114,10 +120,14 @@ class AdmissibleFunction:
         return j.d1 - j.val / s
 
     def epsilon_prime(self, s):
+        return self._epsilons(s)[1]
+
+    def _epsilons(self, s):
+        """(eps, eps') from one order-2 jet, eps bit-identical to epsilon(s)."""
         s = as_points(s)
         j = self.jet(s, 2)
         eps = j.d1 - j.val / s
-        return j.d2 - eps / s
+        return eps, j.d2 - eps / s
 
     # -- Phi in w = log s, for the saddle solver ------------------------------
 
@@ -189,13 +199,11 @@ class AdmissibleFunction:
     @cached_property
     def _rho0(self) -> float:
         rho = np.geomspace(1.0, 1e6, 31)
-        epsp = np.real(self.epsilon_prime(rho + 0j))
-        eps = np.real(self.epsilon(rho + 0j))
+        eps, epsp = self._epsilons(rho + 0j)
         with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0: not ok
-            b = np.abs(rho * epsp / eps)
+            b = np.abs(rho * epsp.real / eps.real)
         fan = min(0.5 * math.pi, self.alpha0 - _K_DELTA)
-        thetas = np.linspace(-fan, fan, 5)
-        c = np.array([_angular_spread(self, r, thetas) for r in rho])
+        c = _angular_spread(self, rho, eps, np.linspace(-fan, fan, 5))
         ok = (b < 0.2) & (c < 0.2)
         # first index from which every later grid point stays ok
         bad = np.nonzero(~ok)[0]
@@ -213,13 +221,15 @@ class AdmissibleFunction:
                 f"alpha0={self.alpha0:.4g})")
 
 
-def _angular_spread(f: AdmissibleFunction, rho, thetas) -> float:
-    """Condition (C) at one radius: max |eps(rho e^{i theta})/eps(rho) - 1|
-    over the fan of angles thetas."""
-    e0 = complex(f.epsilon(rho + 0j))
-    eps = f.epsilon(rho * np.exp(1j * thetas))
+def _angular_spread(f: AdmissibleFunction, rho, eps, thetas):
+    """Condition (C) at the radii rho, where eps = eps(rho): the largest
+    |eps(rho e^{i theta})/eps(rho) - 1| over the angles thetas but 0 (whose
+    ratio is 0, or NaN where eps(rho) = 0 and (B) fails already), in one
+    call; a NaN ratio makes the spread NaN."""
+    z = np.exp(1j * thetas[thetas != 0.0])
     with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0: NaN
-        return float(np.max(np.abs(eps / e0 - 1.0)))
+        ratio = f.epsilon(np.multiply.outer(rho, z)) / np.expand_dims(eps, -1)
+        return np.max(np.abs(ratio - 1.0), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -468,11 +478,12 @@ _ELL_PRESETS = {
 
 def _cauchy_sums(s, u, w, count):
     """[sum_j w_j (s + u_j)^{-m} for m = 1..count] at the flat complex
-    points s, taken in blocks of about 4e6 terms: one reciprocal of
-    (s + u) per block, in place, then a product per power, the first one
-    in place as well when no higher power needs the reciprocal.  The nodes
-    u and weights w come as complex arrays, so that no call casts them."""
-    chunk = max(1, int(4e6 // max(u.size, 1)))
+    points s, in blocks of whole rows of about _CAUCHY_BLOCK terms, so a
+    point's sums do not depend on its block: one reciprocal of (s + u) per
+    block, in place, then a product per power, the first one in place as
+    well when no higher power needs the reciprocal.  The nodes u and
+    weights w come as complex arrays, so that no call casts them."""
+    chunk = max(1, _CAUCHY_BLOCK // max(u.size, 1))
     if s.size > chunk:
         blocks = [_cauchy_sums(s[k:k + chunk], u, w, count)
                   for k in range(0, s.size, chunk)]
@@ -508,7 +519,7 @@ def _cauchy_jet(s, q, i, order, ab=None):
 def _gauss_panels(edges):
     """Nodes and weights of 15-point Gauss-Legendre on each panel
     [edges[i], edges[i+1]], flattened panel by panel."""
-    x, w = np.polynomial.legendre.leggauss(15)
+    x, w = _gauss_rule(15)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     return ((mid[:, None] + half[:, None] * x[None, :]).ravel(),
@@ -877,8 +888,7 @@ def audit_admissibility(f: AdmissibleFunction) -> AuditReport:
     growth_floor, slow_variation_max, angular_spread_max = 0.01, 0.2, 0.2
     grid = np.geomspace(1.0, 1e7, 61)
 
-    eps = np.real(f.epsilon(grid + 0j))
-    epsp = np.real(f.epsilon_prime(grid + 0j))
+    eps, epsp = np.real(f._epsilons(grid + 0j))
     eps_min = float(np.min(eps))
     eps_sup = float(np.max(eps))
 
@@ -905,7 +915,9 @@ def audit_admissibility(f: AdmissibleFunction) -> AuditReport:
     # (C): angular stability of eps at the far end of the grid
     rho_max = grid[-1]
     thetas = np.linspace(-(f.alpha0 - _K_DELTA), f.alpha0 - _K_DELTA, 9)
-    spread = _angular_spread(f, rho_max, thetas)
+    # a one-point eps(rho_max): the array jet may differ in the last bit
+    spread = float(_angular_spread(f, rho_max, complex(f.epsilon(rho_max + 0j)),
+                                   thetas))
     cond_c = AuditCondition(
         "C: eps stable across the angle fan", spread,
         angular_spread_max, spread < angular_spread_max,

@@ -198,9 +198,10 @@ def _run_eval(args) -> int:
                 a = K_asymptotic(f, z)
                 rows.append(_row(z, a.value, a.log_scale, 0.0,
                                  a.region.kind, rho_z, theta_z))
-            except RegionError:
+            except RegionError:     # no saddle, or one outside K's region
                 rows.append(_row(z, complex(math.nan, math.nan), math.nan,
-                                 math.nan, "outside", rho_z, theta_z))
+                                 math.nan, region if region == "no_saddle"
+                                 else "outside", rho_z, theta_z))
         elif which == "asym-E":
             a = E_asymptotic(f, z)
             rows.append(_row(z, a.value, a.log_scale, 0.0,

@@ -483,6 +483,100 @@ def test_kernel_jet_takes_one_cauchy_sum_per_order(monkeypatch, theorem3_power):
     assert counts == [1, 2, 3]
 
 
+def _rho0_per_radius(f):
+    """default_rho0 written as a loop over the 31 radii: eps and eps' from
+    one jet each, and at each radius a fan of 5 angles (theta = 0 included)
+    against that radius's own one-point eps(rho)."""
+    rho = np.geomspace(1.0, 1e6, 31)
+    epsp = np.real(f.epsilon_prime(rho + 0j))
+    eps = np.real(f.epsilon(rho + 0j))
+    fan = min(0.5 * math.pi, f.alpha0 - 0.1)
+    thetas = np.linspace(-fan, fan, 5)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.abs(rho * epsp / eps)
+        c = np.array([np.max(np.abs(f.epsilon(r * np.exp(1j * thetas))
+                                    / complex(f.epsilon(r + 0j)) - 1.0))
+                      for r in rho])
+    bad = np.nonzero(~((b < 0.2) & (c < 0.2)))[0]
+    idx = bad[-1] + 1 if bad.size else 0
+    if idx >= rho.size:
+        return float(rho[-1])
+    if idx == 0:
+        return float(rho[0])
+    return float(math.sqrt(rho[idx - 1] * rho[idx]))
+
+
+def _fingerprint_weights():
+    from importlib.util import module_from_spec, spec_from_file_location
+    from pathlib import Path
+
+    import mellin_saddle
+    path = Path(__file__).resolve().parents[1] / "tools" / "fingerprint.py"
+    spec = spec_from_file_location("fingerprint", path)
+    fp = module_from_spec(spec)
+    spec.loader.exec_module(fp)
+    return {name: make(mellin_saddle) for name, make in fp.WEIGHT_LAYER.items()}
+
+
+def test_default_rho0_matches_the_per_radius_probe():
+    # the probe's two array calls (one order-2 jet on the radii, one eps
+    # call on the fan's off-axis points) give the per-radius loop's radius
+    weights = {
+        "gamma_shift(0)": gamma_shift(0.0),
+        "gamma_shift(1)": gamma_shift(1.0),
+        "iterated_log": iterated_log(1.0, 1.0, 1, math.e),
+        "theorem3": build_theorem3(ell_power(1.0, 1.0)),
+        **_fingerprint_weights(),
+    }
+    assert len(weights) == 16
+    for name, f in weights.items():
+        assert f.default_rho0() == _rho0_per_radius(f), name
+    f = build_positive_type(positive_type_degenerate(0.5))
+    assert f.default_rho0() == _rho0_per_radius(f) == 1e6
+
+
+@pytest.mark.parametrize("kind", ["theorem3", "positive_factorial"])
+def test_cauchy_blocks_do_not_change_a_field(monkeypatch, theorem3_power,
+                                             factorial_measure, kind):
+    # one batch over several blocks of the Cauchy sums gives, bit for bit,
+    # the fields of the same points passed a few at a time
+    import mellin_saddle.catalog as catalog
+
+    f = theorem3_power if kind == "theorem3" else factorial_measure
+    nodes = []
+
+    def spy(s, u, w, count, fn=catalog._cauchy_sums):
+        nodes.append(u.size)
+        return fn(s, u, w, count)
+
+    monkeypatch.setattr(catalog, "_cauchy_sums", spy)
+    rng = np.random.default_rng(5)
+    pts = np.exp(rng.uniform(-1.0, 9.0, 90) + 1j * rng.uniform(-3.0, 3.0, 90))
+    for order in (0, 1, 2):
+        whole = f.jet(pts, order)
+        assert pts.size >= 3 * (catalog._CAUCHY_BLOCK // nodes[0]) + 1
+        parts = [f.jet(pts[k:k + 2], order) for k in range(0, pts.size, 2)]
+        for field in ("val", "d1", "d2")[:order + 1]:
+            got = np.concatenate([getattr(p, field) for p in parts])
+            assert np.array_equal(getattr(whole, field), got), (order, field)
+
+
+def test_a_large_kernel_batch_stays_small_in_memory(theorem3_power):
+    # the Cauchy sums' temporaries are one block, not the whole batch: in
+    # blocks of 4e6 terms, 2,000 points over 1,905 nodes peaked at 122 MB
+    import tracemalloc
+
+    pts = np.geomspace(1.0, 1e7, 2000) * np.exp(0.3j)
+    theorem3_power.jet(pts[:1], 2)      # the node grid, built once
+    tracemalloc.start()
+    try:
+        theorem3_power.jet(pts, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 @pytest.mark.parametrize("s", [3.0 + 0.7j, 0.6 + 0j, 25.0 - 9.0j, 400.0 + 1e3j])
 @pytest.mark.parametrize("kind", _ORDER_KINDS)
 def test_jet_scalar_and_array_agree(order_weights, kind, s):

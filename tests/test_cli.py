@@ -281,6 +281,20 @@ def test_asym_verbs(capsys):
     assert row["value_re"] == 0.0
 
 
+def test_asym_K_region_names_a_missing_saddle(capsys):
+    # iterated_log at r = 5, psi = 1 has no saddle: asym-K says so as
+    # asym-E does; a saddle below rho0 stays outside K's region
+    regions = []
+    for verb, spec, at in (("asym-K", ITERLOG, "r=5,psi=1"),
+                           ("asym-E", ITERLOG, "r=5,psi=1"),
+                           ("asym-K", GAMMA, "r=2,psi=0")):
+        code, out, err = run_cli(capsys, verb, "--spec", spec, "--at", at,
+                                 "--format", "json")
+        assert code == 0, err
+        regions.append(json.loads(out)[0]["region"])
+    assert regions == ["no_saddle", "no_saddle", "outside"]
+
+
 def test_audit_verb(capsys):
     code, out, err = run_cli(capsys, "audit", "--spec", GAMMA1)
     assert code == 0
