@@ -3,10 +3,13 @@
 The engine is deliberately small: (G7, K15) pairs, bisection of the worst
 panel by error estimate, a node budget, and a deterministic final
 summation (panels sorted by left endpoint, so a fixed panel set always
-reduces in the same order).  Integrands receive the 15 panel nodes as one
-ndarray call and may return shape (15,) or (15, k) for batched values, or
-a pair (values, noise) whose noise[i] bounds the absolute rounding error
-of values[i].
+reduces in the same order).  An integrand receives the nodes of one or
+more panels in one ndarray call, 15 per panel, panel-major: every seed
+panel in the first call, then both halves of each bisected panel.  For m
+nodes it returns shape (m,) or (m, k) for batched values, or a pair
+(values, noise) whose noise[i] bounds the absolute rounding error of
+values[i].  An integrand that is not elementwise must treat each row of
+x.reshape(-1, 15) on its own.
 
 Each pass checks four stop reasons, in this order:
 
@@ -74,20 +77,27 @@ class PanelResult:
         return self.stop == "tolerance"
 
 
-def _panel(f, a, b):
-    half = 0.5 * (b - a)
-    x = 0.5 * (a + b) + half * _XK
-    y = f(x)
-    floor = None       # no noise declared
+def _panels(f, los, his):
+    """(ik, err, absint, floor) lists over the panels [los[i], his[i]] from
+    one call of f on their nodes, 15 per panel, panel-major; floor is None
+    when f declares no noise.  The Gauss nodes are gathered C-contiguous,
+    so each panel's sums round as they would for that panel alone."""
+    p = len(los)
+    lo, hi = np.array(los), np.array(his)
+    half = 0.5 * (hi - lo)
+    h = half[:, None]
+    y = f((0.5 * (lo + hi)[:, None] + h * _XK).ravel())
+    floor = [None] * p     # no noise declared
     if isinstance(y, tuple):
         y, noise = y
-        floor = half * float(np.max(_WK @ noise))
+        floor = (half * (_WK @ noise.reshape(p, 15, -1)).max(axis=1)).tolist()
     y = np.asarray(y)
-    ik = half * (_WK @ y)
-    ig = half * (_WG @ y[_GAUSS_IDX])
-    absint = half * float(np.max(_WK @ np.abs(y)))
-    err = float(np.max(np.abs(ik - ig)))
-    return ik, err, absint, floor
+    y3 = y.reshape(p, 15, -1)
+    ik = h * (_WK @ y3)
+    err = np.abs(ik - h * (_WG @ np.take(y3, _GAUSS_IDX, axis=1))).max(axis=1)
+    absint = half * (_WK @ np.abs(y3)).max(axis=1)
+    return (list(ik.reshape((p,) + y.shape[1:])), err.tolist(),
+            absint.tolist(), floor)
 
 
 def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
@@ -114,24 +124,24 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
     declared = False   # the integrand returns (values, noise)
     value_total = None
 
-    def add_panel(lo, hi):
+    def add_panels(los, his):
         nonlocal counter, nodes, err_total, floor_total, declared, value_total
-        ik, err, absint, floor = _panel(f, lo, hi)
-        nodes += 15
-        err_total += err
-        declared = floor is not None
-        floor = floor or 0.0
-        floor_total += floor
-        value_total = ik if value_total is None else value_total + ik
-        entry = (lo, hi, ik, err, absint, floor)
-        if (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
-            heapq.heappush(heap, (-err, counter, entry))
-        else:
-            done.append(entry)
-        counter += 1
+        for lo, hi, ik, err, absint, floor in zip(los, his,
+                                                  *_panels(f, los, his)):
+            nodes += 15
+            err_total += err
+            declared = floor is not None
+            floor = floor or 0.0
+            floor_total += floor
+            value_total = ik if value_total is None else value_total + ik
+            entry = (lo, hi, ik, err, absint, floor)
+            if (hi - lo) > 1e-14 * (abs(lo) + abs(hi) + 1.0):
+                heapq.heappush(heap, (-err, counter, entry))
+            else:
+                done.append(entry)
+            counter += 1
 
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        add_panel(lo, hi)
+    add_panels(edges[:-1], edges[1:])
 
     def finish(stop):
         entries = sorted(done + [e for _, _, e in heap], key=lambda e: e[0])
@@ -144,7 +154,7 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
         return PanelResult(total, err, nodes, stop)
 
     while True:
-        scale = float(np.max(np.abs(value_total)))
+        scale = float(np.abs(value_total).max())
         if err_total <= max(Tolerances.abs_tol, rel_tol * scale):
             return finish("tolerance")
         if declared and not (math.isfinite(scale) and math.isfinite(err_total)):
@@ -158,8 +168,7 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
         floor_total -= floor
         value_total = value_total - ik
         mid = 0.5 * (lo + hi)
-        add_panel(lo, mid)
-        add_panel(mid, hi)
+        add_panels([lo, mid], [mid, hi])
 
 
 def scan_drop(logmag, t0, bound, *, drop_log):

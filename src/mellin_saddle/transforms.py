@@ -430,9 +430,8 @@ def moment(f: AdmissibleFunction, n: int, *,
     nodes_total = 0
     err_extra = 0.0
 
-    def outer_integrand(w):
+    def outer_row(w):
         nonlocal nodes_total, err_extra
-        w = np.asarray(w, dtype=float)
         # below Phi's range on the ray the peak sits next to the origin, so
         # a line hugging it keeps |t^{-s}| = O(1) and kills cancellation
         c_line = max(_saddle_radius_or(f, float(np.median(w)), 0.05), 0.05)
@@ -447,10 +446,18 @@ def moment(f: AdmissibleFunction, n: int, *,
         err_extra = max(err_extra, float(np.max(np.exp(expo)) * err))
         return vals * np.exp(expo)
 
-    res = adaptive_integrate(outer_integrand, lo_cut, hi_cut,
-                             rel_tol=tols.rel_tol, max_nodes=tols.max_nodes,
-                             breakpoints=sorted({w_star,
-                                                 *np.linspace(lo_cut, hi_cut, 7)[1:-1]}))
+    # one K line per panel: a line shared by siblings loses up to 6 digits
+    def outer_integrand(w):
+        return np.concatenate([outer_row(row) for row in
+                               np.asarray(w, dtype=float).reshape(-1, 15)])
+
+    # far rows overflow exp; _fold refuses what that spoils, so numpy need
+    # not warn on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = adaptive_integrate(outer_integrand, lo_cut, hi_cut,
+                                 rel_tol=tols.rel_tol, max_nodes=tols.max_nodes,
+                                 breakpoints=sorted({w_star,
+                                                     *np.linspace(lo_cut, hi_cut, 7)[1:-1]}))
     err = res.abs_error + err_extra * (hi_cut - lo_cut)
     return _fold(complex(res.value), err, res.nodes + nodes_total, tols,
                  eta_star)

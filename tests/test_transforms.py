@@ -1,5 +1,7 @@
 import cmath
+import contextlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -328,6 +330,22 @@ def test_moment_theorem3_vs_direct_weight(theorem3_power):
 def test_moment_rejects_bad_order(gamma0):
     with pytest.raises(SpecError):
         moment(gamma0, -1)
+
+
+def test_moment_runs_one_inner_line_per_panel(gamma0):
+    # each 15-node row of the outer integrand gets its own inner K line;
+    # a line shared by sibling panels would halve these counts
+    assert [moment(gamma0, n).nodes for n in (1, 2, 3)] == [8_400, 9_300, 8_730]
+
+
+def test_moment_leaks_no_runtime_warning(iterlog):
+    # far rows overflow exp on the way to the bare OverflowError, which is
+    # an open defect of its own (ROADMAP item 4); only it is suppressed here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.suppress(OverflowError):
+            moment(iterlog, 6)
+    assert [str(w.message) for w in caught] == []
 
 
 def test_growth_sum_extreme_small_radius(gamma1):

@@ -6,7 +6,7 @@ A refactor should keep the numbers.  `dump` prints one line per call,
 raises.  The evaluator lines are eval_K on both routes, eval_E_series,
 eval_growth_sum and eval_abel_plana_rhs on the four benchmark weights at r
 in {2, 5, 10} and psi in {0, 1, 2.5}; eval_E_series at 0 for each weight;
-and moment for n = 1..3 on gamma_shift(0) and theorem3: 190 lines, with
+and moment for n = 1..3 on each of the four weights: 196 lines, with
 payload repr((value, abs_error, nodes, log_scale, converged)).  The saddle
 lines come next.  At the same 36 (weight, r, psi) points: solve, with
 payload repr((s_z, theta_z, iterations)), or repr of the region tag when
@@ -28,7 +28,7 @@ epsilon_limsup_estimate(), one_over_gamma0 and the audit's to_dict().
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 429 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 435 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -70,7 +70,7 @@ WEIGHTS = {
 }
 RADII = (2.0, 5.0, 10.0)
 PSIS = (0.0, 1.0, 2.5)
-MOMENT_WEIGHTS = ("gamma_shift0", "theorem3")
+MOMENT_WEIGHTS = tuple(WEIGHTS)
 MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
 RHO_STARS = (10.0, 35.0, 100.0)
