@@ -57,6 +57,8 @@ _JET_LOG_RADIUS = 300.0
 _CAUCHY_BLOCK = 2 ** 14
 # Gauss-Legendre rules, 0.4 ms each: made on first use (it starts up LAPACK)
 _gauss_rule = cache(np.polynomial.legendre.leggauss)
+# theorem3's Cauchy-kernel contours leave the real axis along e^{+-i pi/4}
+_RAY = cmath.exp(0.25j * math.pi)
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
@@ -429,7 +431,12 @@ def monomial_exponent(p: float, coeff: float = 1.0) -> AdmissibleFunction:
 @dataclass(frozen=True)
 class SlowlyVaryingEll:
     """An unboundedly increasing C^1 scale ell given through log ell and
-    (log ell)'; c is the lower limit of the construction integral."""
+    (log ell)'; c is the lower limit of the construction integral.
+
+    dlog_ell takes complex u as well and must be analytic on the two rays
+    u = c + t e^{+-i pi/4}, t >= 0, and between them and the real axis:
+    build_theorem3 integrates along those rays.  The constructor probes
+    both, at the real probe's radii, for finite values."""
 
     log_ell: Callable[[np.ndarray], np.ndarray]
     dlog_ell: Callable[[np.ndarray], np.ndarray]
@@ -449,6 +456,12 @@ class SlowlyVaryingEll:
         if np.max(u * g) > 1e3:
             raise BuildError(f"{self.label}: u * (log ell)'(u) looks unbounded "
                              f"(max {np.max(u * g):.3g} on probe grid)")
+        rays = self.c + np.outer((_RAY, _RAY.conjugate()), u - self.c).ravel()
+        finite = np.isfinite(np.asarray(self.dlog_ell(rays), dtype=complex))
+        if not finite.all():
+            bad = rays[int(np.argmin(finite))]
+            raise BuildError(f"{self.label}: (log ell)' must be finite on the "
+                             f"rays c + t e^(+-i pi/4); fails at u = {bad:.6g}")
 
 
 def ell_power(a: float = 1.0, c: float = 1.0) -> SlowlyVaryingEll:
@@ -531,13 +544,35 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
     (log ell)'(u) / (s+u) du, derivatives taken under the integral.
 
     The integrals int f(u) (u+s)^{-m} du, m = 1..3, are sums over fixed
-    grids, with the density already folded into the weights.  A call uses
-    the grid that covers |s| up to the least power of ten (1e8 at the
-    smallest) above its own largest |s|; each grid is built once, so no
-    value depends on the calls made before it.  In v = log(u/c) a grid
-    runs 45 past log(s_cover/c), on 15-point Gauss panels 0.5 long.
+    grids on the ray u = c + c (e^v - 1) e^{i phi}, phi = pi/4 for
+    Im s >= 0 and -pi/4 below, with (log ell)'(u) du/dv folded into the
+    weights.  The ray turns away from the pole u = -s, so by Cauchy's
+    theorem it gives the real-axis integral where (log ell)' is analytic
+    between the two (SlowlyVaryingEll; Gil, Segura and Temme, Numerical
+    Methods for Special Functions, 2007, ch. 5), and the sums keep full
+    precision up to the sector edge, where the pole nears the real axis.
+    The side changes at theta = +-pi: the jet does not continue log gamma
+    across the negative axis.
+
+    A call splits its points by the sign of Im s and uses, per side, the
+    grid that covers |s| up to the least power of ten (1e8 at the
+    smallest) above its own largest |s|.  Each (cover, side) grid is
+    built once, so no value depends on earlier calls or on the other
+    points of a call.  In v a grid runs 45 past log(s_cover/c), on
+    15-point Gauss panels 0.5 long.
     """
-    grids = {}      # s_cover -> (nodes u, weights), complex
+    grids = {}      # (s_cover, Im s >= 0) -> (nodes u, weights), complex
+
+    def sums(s, s_cover, up, count):
+        if (s_cover, up) not in grids:
+            v_max = math.log(s_cover / ell.c) + 45.0
+            n_panels = max(8, int(math.ceil(v_max / 0.5)))
+            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
+            ray = ell.c * (_RAY if up else _RAY.conjugate())
+            u = ell.c + np.expm1(v) * ray
+            g = np.asarray(ell.dlog_ell(u), dtype=complex)
+            grids[s_cover, up] = (u, wv * g * np.exp(v) * ray)  # du = e^v ray dv
+        return _cauchy_sums(s, *grids[s_cover, up], count)
 
     def jet_fn(s, order):
         flat = np.ravel(s)
@@ -546,15 +581,20 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
         s_cover = 1e8
         while s_cover < amax:
             s_cover *= 10.0
-        if s_cover not in grids:
-            v_max = math.log(s_cover / ell.c) + 45.0
-            n_panels = max(8, int(math.ceil(v_max / 0.5)))
-            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
-            u = ell.c * np.exp(v)
-            wts = wv * (np.asarray(ell.dlog_ell(u), dtype=float) * u)
-            grids[s_cover] = (u + 0j, wts + 0j)
-        return _cauchy_jet(s, s, _cauchy_sums(flat, *grids[s_cover], order + 1),
-                           order)
+        if isinstance(s, complex):
+            i = sums(flat, s_cover, s.imag >= 0.0, order + 1)
+        else:
+            up = flat.imag >= 0.0
+            all_up = bool(up.all())
+            if all_up or not up.any():
+                i = sums(flat, s_cover, all_up, order + 1)
+            else:
+                i = [np.empty_like(flat) for _ in range(order + 1)]
+                for side, part in ((True, up), (False, ~up)):
+                    for out, x in zip(i, sums(flat[part], s_cover, side,
+                                              order + 1)):
+                        out[part] = x
+        return _cauchy_jet(s, s, i, order)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,
                               ell.c, math.pi)

@@ -9,7 +9,10 @@ enough, so a saddle is found in two stages:
 * the ray root x = log rho of Phi(e^x) = log r, by a doubling bracket in
   x and _line_root, the one real root finder (Newton on a line in w);
 * a Newton continuation in w from x toward log z = log r + i psi, with
-  theta_z = Im w.  If theta_z reaches the sector edge before psi is
+  theta_z = Im w.  Each step starts from the tangent predictor
+  w + i dpsi / Phi'(w) (dw/dpsi = i / Phi'), and no Newton iterate may
+  leave the sector |Im w| < alpha0, past which a weight's jet need not
+  continue Phi.  If theta_z reaches the sector edge before psi is
   reached, the point has no saddle there and is tagged accordingly.
 
 Both stages are memoized per weight: solve, classify and the asymptotics
@@ -195,12 +198,17 @@ def _exp_w(w: complex) -> Tuple[complex, float]:
 
 def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
               tol_resid: float):
-    """Newton for Phi(e^w) = target from w: (w, |resid|, evaluations), or
-    None when it does not converge in 12 evaluations or a step leaves the
-    range of Phi (e^w underflows, dPhi/dw is 0 or not finite).  Converged
-    means |resid| <= tol_resid and a Newton step of at most _STEP_TOL:
-    where |dPhi/dw| << 1 a small residual alone does not pin theta_z."""
+    """Newton for Phi(e^w) = target from w: (w, |resid|, evaluations,
+    dPhi/dw at w), or None when it does not converge in 12 evaluations, an
+    iterate leaves the sector |Im w| < f.alpha0 (past it the jet need not
+    continue Phi: theorem3's kernel changes side at theta = +-pi), or a
+    step leaves the range of Phi (e^w underflows, dPhi/dw is 0 or not
+    finite).  Converged means |resid| <= tol_resid and a Newton step of
+    at most _STEP_TOL: where |dPhi/dw| << 1 a small residual alone does
+    not pin theta_z."""
     for it in range(1, 13):
+        if not abs(w.imag) < f.alpha0:
+            return None
         try:
             phi, dphi = _phi_w(f, w)
         except NoSaddleError:
@@ -210,7 +218,7 @@ def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
         resid = phi - target
         step = resid / dphi
         if abs(resid) <= tol_resid and abs(step) <= _STEP_TOL:
-            return w, abs(resid), it
+            return w, abs(resid), it, dphi
         w = w - step
     return None
 
@@ -221,9 +229,12 @@ def _continue(f: AdmissibleFunction, x: float,
     """Continue the ray root x to the saddle of log_z = log r + i psi.
 
     Steps of psi start near 0.25 |dPhi/dw| (theta_z then moves about
-    0.25 rad per step); a step is accepted when Newton converges, and dt
-    halves when it took more than 5 evaluations or failed.  None when
-    theta_z reaches the sector edge first.  Memoized per weight.
+    0.25 rad per step).  Each step's Newton starts from the tangent
+    predictor w + i dpsi / Phi'(w), since dw/dpsi = i / Phi', with Phi'
+    from the root just accepted, and stays in the sector (_newton_w); a
+    step is accepted when Newton converges, and dt halves when it took
+    more than 5 evaluations or failed.  None when theta_z reaches the
+    sector edge first.  Memoized per weight.
     """
     psi = log_z.imag
     edge = f.alpha0 - _EDGE_DELTA
@@ -238,15 +249,16 @@ def _continue(f: AdmissibleFunction, x: float,
     halvings = 0
     while t < 1.0 - 1e-15:
         t_next = min(1.0, t + dt)
-        step = _newton_w(f, w, complex(log_z.real, t_next * psi), tol_resid)
-        ok = step is not None and abs(step[0].imag) < math.pi + 1.0
-        if ok:
-            w, resid, iters = step
+        guess = w + 1j * (t_next - t) * psi / dphi if dphi else w
+        step = _newton_w(f, guess, complex(log_z.real, t_next * psi),
+                         tol_resid)
+        if step is not None:
+            w, resid, iters, dphi = step
             t = t_next
             total_iters += iters
             if abs(w.imag) >= edge:
                 return None
-        if not ok or iters > 5:      # failed or slow: refine the step
+        if step is None or iters > 5:      # failed or slow: refine the step
             dt *= 0.5
             halvings += 1
             if halvings > 60:

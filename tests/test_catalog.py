@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 import warnings
@@ -168,6 +169,36 @@ def test_theorem3_closed_form(theorem3_power):
         want = s * s * np.log((s + 1.0) / 2.0) / (s - 1.0)
         assert complex(theorem3_power.log_gamma(s)) == pytest.approx(
             complex(want), rel=1e-12)
+
+
+@pytest.mark.parametrize("a, c", [(1.0, 1.0), (0.5, 3.0)])
+def test_theorem3_jet_exact_to_the_sector_edge(ell_power_exact, a, c):
+    # the rotated Cauchy contour keeps every order at full precision up to
+    # the edge alpha0 - 0.02, where a real-axis grid was off by up to 17
+    # in Phi; one point (a Python complex) and an array take the same sums
+    f = build_theorem3(ell_power(a, c))
+    thetas = (0.0, 1.0, 2.0, 2.84, 3.0, 3.08, f.alpha0 - 0.02)
+    pts = [r * cmath.exp(1j * sign * th) for r in (2.0, 10.0, 1e3, 1e6)
+           for th in thetas for sign in (1, -1)]
+
+    def top(j):             # the highest-order field a jet carries
+        return (j.val, j.d1, j.d2)[j.order]
+
+    batch = [top(f.jet(np.array(pts), n)) for n in (0, 1, 2)]
+    for k, s in enumerate(pts):
+        want = ell_power_exact(a, c, s)
+        for n in (0, 1, 2):
+            for got in (top(f.jet(s, n)), batch[n][k]):
+                assert abs(got - want[n]) <= 1e-13 * abs(want[n]), (s, n)
+
+
+def test_ell_must_be_finite_on_the_rotated_rays():
+    # build_theorem3 integrates along c + t e^{+-i pi/4}: a (log ell)' that
+    # is fine on the real axis but NaN off it is refused; the presets pass
+    ell_power(2.0, 0.5), ell_exp_sqrt_log(0.3)
+    with pytest.raises(BuildError, match="rays"):
+        SlowlyVaryingEll(log_ell=np.log1p, c=1.0, dlog_ell=lambda u: np.where(
+            np.imag(u) == 0.0, 1.0 / (1.0 + u), np.nan))
 
 
 def test_theorem3_derivatives_consistent(theorem3_power):

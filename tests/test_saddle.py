@@ -398,6 +398,33 @@ def _count_phi(monkeypatch):
     return calls
 
 
+# saddle_sweep points without a saddle on theorem3: solve took 786 to 1,040
+# Phi evaluations there on a kernel that was wrong near the sector edge
+@pytest.mark.parametrize("log_r, psi", [(12.0185, 7.4805), (5.2123, 8.8768),
+                                        (14.2873, -7.1803)])
+def test_no_saddle_point_costs_few_phi(monkeypatch, log_r, psi):
+    f = build_theorem3(ell_power(1.0, 1.0))       # fresh weight, empty memo
+    calls = _count_phi(monkeypatch)
+    sol, tag = solve(f, LogSurfacePoint(log_r, psi))
+    assert sol is None and tag.kind == "no_saddle"
+    assert len(calls) <= 150
+
+
+def test_newton_stays_in_the_sector(monkeypatch, ell_power_exact):
+    # theorem3's jet changes side at theta = +-pi, so the root at theta =
+    # 3.3 of its closed form continued across the negative axis (where
+    # log((s+1)/2) gains 2 pi i) is no root of the jet.  Newton from theta
+    # = 3.0 steps toward it and stops as its iterate leaves |Im w| < alpha0
+    f = build_theorem3(ell_power(1.0, 1.0))
+    s = 10.0 * cmath.exp(3.3j)
+    target = (ell_power_exact(1.0, 1.0, s)[1]
+              + 2j * math.pi * (1.0 - (s - 1.0) ** -2))
+    calls = _count_phi(monkeypatch)
+    w0 = complex(math.log(10.0), 3.0)
+    assert saddle._newton_w(f, w0, target, 1e-10) is None
+    assert len(calls) == 1
+
+
 def test_one_saddle_solve_per_point(monkeypatch):
     # solve, classify and both asymptotics share one ray root and one
     # continuation: only the first call evaluates Phi
@@ -482,18 +509,49 @@ def test_ray_bracket_stops_at_the_jet_cut():
     assert solve_real_log(f, 290.5) == pytest.approx(290.0, abs=1e-9)
 
 
-# Reference angles from a 20,000-step continuation, which stays inside
-# the sector edge 3.1216 all the way.
-_NEARBY_ROOTS = [(15.42, 6.78, 3.10196426), (7.48, -5.09, -3.09466542),
-                 (6.91, 6.08, 3.10044018)]
+def _exact_theta(jet, log_r, psi, steps=5000):
+    """theta_z of log r + i psi for build_theorem3(ell_power(1, 1)) on its
+    closed form, without the saddle layer: bisection on the ray, then
+    `steps` equal steps of psi, each solved by Newton in w from the last
+    root; None once |theta| reaches the sector edge pi - 0.02."""
+    lo, hi = 0.0, 50.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if jet(1.0, 1.0, cmath.exp(mid))[1].real < log_r \
+            else (lo, mid)
+    w = complex(lo)
+    for k in range(1, steps + 1):
+        target = complex(log_r, psi * k / steps)
+        for _ in range(20):
+            s = cmath.exp(w)
+            _, phi, d2 = jet(1.0, 1.0, s)
+            step = (phi - target) / (s * d2)      # dPhi/dw = s Phi'(s)
+            w -= step
+            if abs(step) < 1e-14 * (1.0 + abs(w)):
+                break
+        else:
+            raise AssertionError(f"Newton stalled at step {k}")
+        if abs(w.imag) >= math.pi - 0.02:
+            return None
+    return w.imag
 
 
-@pytest.mark.xfail(strict=True, reason="_continue accepts a Newton step that "
-                   "jumped to a second root past the edge: see the FOUND line "
-                   "on _continue in CHANGES.md")
-@pytest.mark.parametrize("log_r, psi, theta", _NEARBY_ROOTS)
-def test_continue_keeps_the_nearby_root(log_r, psi, theta):
-    f = build_theorem3(ell_power(1.0, 1.0))
-    sol, _ = solve(f, LogSurfacePoint(log_r, psi))
-    assert sol is not None
-    assert sol.theta_z == pytest.approx(theta, abs=1e-6)
+# The first three once expected theta_z = 3.10196, -3.09467 and 3.10044:
+# those came from a continuation on the real-axis Cauchy grid, whose Phi
+# is wrong near the sector edge.  On the exact Phi the path reaches the
+# edge first.  The last two are Phi(10 e^{i theta}) at theta = 3.1 and
+# -3.11, saddles just inside the edge.
+_NEARBY_ROOTS = [(15.42, 6.78), (7.48, -5.09), (6.91, 6.08),
+                 (2.5037846963483643, 3.069776572754552),
+                 (2.50328185994114, -3.0807877590451884)]
+
+
+@pytest.mark.parametrize("log_r, psi", _NEARBY_ROOTS)
+def test_continue_keeps_the_nearby_root(ell_power_exact, log_r, psi):
+    want = _exact_theta(ell_power_exact, log_r, psi)
+    sol, tag = solve(build_theorem3(ell_power(1.0, 1.0)),
+                     LogSurfacePoint(log_r, psi))
+    if want is None:
+        assert sol is None and tag.kind == "no_saddle"
+    else:
+        assert sol.theta_z == pytest.approx(want, abs=1e-9)

@@ -25,20 +25,24 @@ monomial_exponent), with payload repr of: the jets of orders 0-2 at a
 fixed 2x2 complex array, phi_log at three points either side of the jet
 cut (None without a log domain), default_rho0(), epsilon_sup(),
 epsilon_limsup_estimate(), one_over_gamma0 and the audit's to_dict().
+The jet kind has 9 lines on the theorem3 weight near its sector edge,
+where its Cauchy kernel is hardest to sum: the jets of orders 0-2 at
+the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
+1e3} and theta in {3.0, 3.08, 3.12}, with payload repr of their fields.
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 435 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 444 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
 lines also a flipped converged flag and a value that moved outside the
 sum of both error bars.  Then, per evaluator, the node sums and the counts
 of changed and byte-identical lines, and the largest change of a value
-relative to its two bars; per saddle kind and for the weight kind, which
-carry no bar, the counts and the largest relative move of a number, which
-is not a finding; for the command-line runs, a changed exit code is a
-finding and a changed digest is counted.
+relative to its two bars; per saddle kind and for the weight and jet
+kinds, which carry no bar, the counts and the largest relative move of a
+number, which is not a finding; for the command-line runs, a changed exit
+code is a finding and a changed digest is counted.
 
     PYTHONPATH=src python tools/fingerprint.py dump > after.txt
     PYTHONPATH=<other checkout>/src python tools/fingerprint.py dump > before.txt
@@ -49,6 +53,7 @@ fingerprints any checkout.
 """
 from __future__ import annotations
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -76,7 +81,8 @@ ALPHAS = (0.5, 0.5 * math.pi, 2.5)
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
-            "boundary_psi", "point_with_saddle_radius", "weight")  # no bar
+            "boundary_psi", "point_with_saddle_radius", "weight",
+            "jet")  # no bar
 NO_BAR = UNBARRED + ("cli",)
 # weight-layer lines: name -> the weight, built from the package
 WEIGHT_LAYER = {
@@ -96,6 +102,8 @@ WEIGHT_LAYER = {
         ms.positive_type_degenerate(0.5)),
     "monomial_exponent": lambda ms: ms.monomial_exponent(1.5),
 }
+EDGE_RADII = (2.0, 10.0, 1e3)       # the jet lines: theorem3 near its edge
+EDGE_THETAS = (3.0, 3.08, 3.12)
 JET_POINTS = np.array([[0.5 + 0.5j, 3.0 - 2.0j], [20.0 + 7.0j, 150.0 + 0.1j]])
 PHI_LOG_POINTS = np.array([299.0 + 0.3j, 300.0, 400.0 + 1.0j])
 # (weight or None, argv after the verb's --spec) per command-line run
@@ -154,6 +162,13 @@ def _weighed(f):
     return repr((jets, phi, f.default_rho0(), f.epsilon_sup(),
                  f.epsilon_limsup_estimate(), f.one_over_gamma0,
                  audit_admissibility(f).to_dict()))
+
+
+def _jets_at(f, s):
+    """The fields of f's jets of orders 0-2 at the one point s."""
+    jets = [f.jet(s, order) for order in (0, 1, 2)]
+    return repr([[complex(x) for x in (j.val, j.d1, j.d2)[:j.order + 1]]
+                 for j in jets])
 
 
 def _cli_run(argv):
@@ -222,6 +237,11 @@ def calls():
                             _placed(ms.point_with_saddle_radius(f, rho, psi))))
     for name, make in WEIGHT_LAYER.items():
         out.append((f"weight {name}", lambda make=make: _weighed(make(ms))))
+    for r in EDGE_RADII:
+        for theta in EDGE_THETAS:
+            out.append((f"jet theorem3 |s|={r:g} theta={theta:g}",
+                        lambda s=r * cmath.exp(1j * theta):
+                        _jets_at(weights["theorem3"], s)))
     for name, argv in CLI_RUNS:
         spec = () if name is None else ("--spec", json.dumps(WEIGHTS[name]))
         out.append((f"cli {name or '-'} {' '.join(argv)}",
