@@ -436,7 +436,8 @@ class SlowlyVaryingEll:
     dlog_ell takes complex u as well and must be analytic on the two rays
     u = c + t e^{+-i pi/4}, t >= 0, and between them and the real axis:
     build_theorem3 integrates along those rays.  The constructor probes
-    both, at the real probe's radii, for finite values."""
+    both, at the real probe's radii, for finite values; build_theorem3
+    refuses an ell whose two rays disagree on the real axis."""
 
     log_ell: Callable[[np.ndarray], np.ndarray]
     dlog_ell: Callable[[np.ndarray], np.ndarray]
@@ -573,6 +574,16 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
             g = np.asarray(ell.dlog_ell(u), dtype=complex)
             grids[s_cover, up] = (u, wv * g * np.exp(v) * ray)  # du = e^v ray dv
         return _cauchy_sums(s, *grids[s_cover, up], count)
+
+    # the two grids agree on the real axis, to rounding, exactly when
+    # (log ell)' is analytic between them
+    x = np.array([complex(ell.c)])
+    up, down = (sums(x, 1e8, side, 1)[0][0] for side in (True, False))
+    if not abs(up - down) <= 1e-12 * abs(up):
+        raise BuildError(
+            f"{ell.label}: (log ell)' is not analytic between the rays "
+            f"c + t e^(+-i pi/4): their Cauchy sums at s = {ell.c:g} differ "
+            f"by {abs(up - down):.3g}")
 
     def jet_fn(s, order):
         flat = np.ravel(s)

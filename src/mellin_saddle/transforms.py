@@ -282,6 +282,51 @@ class AbelPlanaParts:
     upper: QuadratureResult
     lower: QuadratureResult
     total: QuadratureResult    # the three summed on the largest log scale
+    main_angle: float          # the main ray's phi; 0.0 on the real axis
+
+
+# the main ray's candidate |phi|, smallest first, each below pi/2 < alpha0,
+# and the coarse tau grid on which each candidate's mass is weighed
+_MAIN_ANGLES = (0.0, 0.5, 1.0, 1.4, 1.5)
+_MAIN_TAUS = np.geomspace(1e-3, 1e15, 200)
+_MAIN_LOG_DTAU = np.log(np.diff(_MAIN_TAUS, prepend=0.0))
+
+
+def _main_ray(f: AdmissibleFunction, logz: complex, s0: float, sign: float):
+    """(phi, tau0, width) of the main integral's ray s = -s0 + tau e^{i phi}
+    by eval_abel_plana_parts' angle rule, or (0, None, None) for the real
+    axis.  tau0 is the peak of Re g, g = s log z - log gamma(s): Newton on
+    Re g' = Re[e^{i phi} (log z - Phi(s))], bracketed by the grid samples
+    around the largest; width = 1/sqrt|Re g''| there."""
+    best = (math.inf, 0.0, None)
+    for a in _MAIN_ANGLES:
+        s = -s0 + _MAIN_TAUS * cmath.exp(1j * sign * a)
+        re = (s * logz - f.log_gamma(s)).real
+        re = np.where(np.isnan(re), -np.inf, re)
+        mass = float(np.logaddexp.reduce(re + _MAIN_LOG_DTAU))
+        if mass < best[0] - 1.0:
+            best = (mass, sign * a, re)
+    _, phi, re = best
+    if phi == 0.0:
+        return 0.0, None, None
+    e = cmath.exp(1j * phi)
+    k = int(np.argmax(re))
+    lo = float(_MAIN_TAUS[k - 1]) if k else 0.0
+    hi = float(_MAIN_TAUS[min(k + 1, _MAIN_TAUS.size - 1)])
+    t = float(_MAIN_TAUS[k]) if k else 0.0
+    for _ in range(100):
+        j = f.jet(-s0 + t * e, 2)
+        d1, d2 = (e * (logz - j.d1)).real, -(e * e * j.d2).real
+        if t == 0.0 and d1 <= 0.0:
+            break               # the ray falls from its start
+        lo, hi = (t, hi) if d1 > 0.0 else (lo, t)
+        nxt = t - d1 / d2 if d2 < 0.0 else math.nan
+        if not lo <= nxt <= hi:
+            nxt = 0.5 * (lo + hi)
+        t, step = nxt, abs(nxt - t)
+        if step <= 1e-12 * t or hi - lo <= 1e-15 * hi:
+            break
+    return phi, t, 1.0 / math.sqrt(abs(d2)) if d2 else 1.0
 
 
 def default_sigma0(f: AdmissibleFunction) -> float:
@@ -293,9 +338,24 @@ def default_sigma0(f: AdmissibleFunction) -> float:
 def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
                           sigma0: Optional[float] = None, *,
                           tol: Optional[Tolerances] = None) -> AbelPlanaParts:
-    """The three terms converting sum z^n/gamma(n) into integrals: the real
-    half-line integral of z^sigma/gamma(sigma) plus two vertical
-    correction integrals with exponentially small kernels."""
+    """The three terms converting sum z^n/gamma(n) into integrals: the
+    main integral of z^sigma/gamma(sigma) over sigma >= -sigma0 plus two
+    vertical correction integrals with exponentially small kernels.
+
+    At psi = 0 the main integral runs on the real axis.  Off it, z^sigma
+    turns psi*sigma radians, so it runs on the ray sigma = -sigma0 +
+    tau e^{i phi}, tau >= 0, sign phi = sign psi, where that phase turns
+    into decay.  The angle rule: for each |phi| in {0, 0.5, 1.0, 1.4, 1.5},
+    weigh the ray's coarse mass log sum |integrand| dtau over 200
+    geometric tau in [1e-3, 1e15], and keep the least, a larger angle
+    replacing a smaller one only when it cuts the mass by more than a
+    factor e; phi = 0 is the real-axis route.  Every candidate stays below
+    pi/2 < alpha0 and in Re s >= -sigma0, where 1/gamma is analytic
+    (default_sigma0 imposes that, and a caller's sigma0 is checked against
+    it), so by Cauchy's theorem the ray gives the real-axis integral: Gil,
+    Segura and Temme, Numerical Methods for Special Functions (2007),
+    ch. 5.  The ray's integration starts from the true peak of its
+    integrand, which sets the path's scale.  main_angle reports phi."""
     tols = tol or Tolerances()
     if abs(z.psi) > math.pi + 1e-12:
         raise SpecError(f"Abel-Plana route needs |psi| <= pi, got {z.psi:.6g}")
@@ -303,21 +363,33 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     if not (0.0 < s0 < 1.0) or (f.c_gamma > 0 and s0 >= min(f.c_gamma, 1.0)):
         raise SpecError(f"sigma0 = {s0:.6g} outside (0, min(c_gamma, 1))")
     logz = z.log_z
+    phi, t0, width = (0.0, None, None) if z.psi == 0.0 else \
+        _main_ray(f, logz, s0, math.copysign(1.0, z.psi))
+    if phi == 0.0:
+        def g_main(sig):
+            s = sig.astype(complex)
+            g = s * logz - f.log_gamma(s)
+            # gamma's poles on the path (Gamma(0)) are zeros of the integrand
+            return np.where(np.isfinite(g), g, -np.inf)[:, None]
 
-    def g_main(sig):
-        s = sig.astype(complex)
-        g = s * logz - f.log_gamma(s)
-        # gamma's poles on the path (Gamma(0)) are zeros of the integrand
-        return np.where(np.isfinite(g), g, -np.inf)[:, None]
+        try:
+            t0 = solve_real(f, z.log_r)
+        except NoSaddleError:
+            t0 = max(0.5, -s0 + 0.25)
+        lo = -s0
+        width = max(1.0, math.sqrt(1.0 / max(abs(complex(f.d2log_gamma(
+            np.complex128(max(t0, 1e-3))))), 1e-300)))
+    else:
+        e = cmath.exp(1j * phi)
 
-    try:
-        sig_peak = solve_real(f, z.log_r)
-    except NoSaddleError:
-        sig_peak = max(0.5, -s0 + 0.25)
-    width = max(1.0, math.sqrt(1.0 / max(
-        abs(complex(f.d2log_gamma(np.complex128(max(sig_peak, 1e-3))))), 1e-300)))
-    main = _path_integral(g_main, tols, -s0, sig_peak, math.inf, width,
-                          f"Abel-Plana main integral for z = {z}")
+        def g_main(tau):
+            s = -s0 + tau * e
+            return (s * logz - f.log_gamma(s) + 1j * phi)[:, None]
+
+        lo = 0.0
+    main = _path_integral(g_main, tols, lo, t0, math.inf, width,
+                          f"Abel-Plana main integral for z = {z} "
+                          f"(phi = {phi:.4g})")
 
     # the verticals end where the kernel beats z^s/gamma(s) by truncation_drop
     eps_bar = max(f.epsilon_sup(), 0.0)
@@ -342,7 +414,7 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     total = _fold(m.value + u.value + l.value,
                   m.abs_error + u.abs_error + l.abs_error,
                   m.nodes + u.nodes + l.nodes, tols, ls)
-    return AbelPlanaParts(*parts, total)
+    return AbelPlanaParts(*parts, total, phi)
 
 
 def eval_abel_plana_rhs(f: AdmissibleFunction, z: LogSurfacePoint,

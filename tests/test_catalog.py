@@ -201,6 +201,15 @@ def test_ell_must_be_finite_on_the_rotated_rays():
             np.imag(u) == 0.0, 1.0 / (1.0 + u), np.nan))
 
 
+def test_ell_must_be_analytic_between_the_rays():
+    # 1/(1 + |u|) is finite on both rays and equals ell_power(1, 1)'s
+    # (log ell)' on the real axis, but the two rays' sums disagree
+    ell = SlowlyVaryingEll(log_ell=lambda u: np.log1p(np.abs(u)),
+                           dlog_ell=lambda u: 1.0 / (1.0 + np.abs(u)), c=1.0)
+    with pytest.raises(BuildError, match="not analytic"):
+        build_theorem3(ell)
+
+
 def test_theorem3_derivatives_consistent(theorem3_power):
     s0 = 4.0 + 1.5j
     h = 1e-5

@@ -209,9 +209,11 @@ def test_series_window_obeys_max_nodes(gamma0):
 # ---------------------------------------------------------------------------
 
 def test_abel_plana_prototype_real(gamma0):
-    # sum 3^n/Gamma(n) = 3 e^3
-    res = eval_abel_plana_rhs(gamma0, LogSurfacePoint(math.log(3.0), 0.0))
-    assert _val(res).real == pytest.approx(3.0 * math.exp(3.0), rel=1e-10)
+    # sum 3^n/Gamma(n) = 3 e^3, with the main integral on the real axis
+    parts = eval_abel_plana_parts(gamma0, LogSurfacePoint(math.log(3.0), 0.0))
+    assert parts.main_angle == 0.0
+    assert _val(parts.total).real == pytest.approx(3.0 * math.exp(3.0),
+                                                   rel=1e-10)
 
 
 def test_abel_plana_matches_series(gamma0, iterlog):
@@ -268,6 +270,55 @@ def test_abel_plana_rejects_bad_inputs(gamma0):
         eval_abel_plana_rhs(gamma0, LogSurfacePoint(1.0, 0.0), sigma0=1.5)
 
 
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_abel_plana_closed_forms_on_the_rotated_ray(c):
+    # sum z^n/Gamma(n) = z e^z and sum z^n/Gamma(n+1) = e^z, each within
+    # its bar, with the main integral off the real axis where it oscillates;
+    # psi < 0 turns the ray the other way
+    f = gamma_shift(c)
+    for r in (2.0, 10.0, 30.0):
+        for psi in (0.5, 1.5, 2.5, math.pi, -2.5):
+            z = LogSurfacePoint(math.log(r), psi)
+            parts = eval_abel_plana_parts(f, z)
+            zc = cmath.exp(z.log_z)
+            want = zc * cmath.exp(zc) if c == 0.0 else cmath.exp(zc)
+            res = parts.total
+            assert abs(_val(res) - want) <= res.abs_error * math.exp(
+                res.log_scale), (c, r, psi)
+            assert parts.main_angle * psi > 0.0 or psi == 0.5, (c, r, psi)
+
+
+def test_abel_plana_independent_of_sigma0(iterlog):
+    # sigma0 = 0.25 and 0.5 split the same sum into different integrals
+    for psi in (math.pi / 3, 2 * math.pi / 3, math.pi):
+        z = LogSurfacePoint(math.log(10.0), psi)
+        a, b = (eval_abel_plana_rhs(iterlog, z, s0) for s0 in (0.25, 0.5))
+        bars = a.abs_error * math.exp(a.log_scale) \
+            + b.abs_error * math.exp(b.log_scale)
+        assert abs(_val(a) - _val(b)) <= bars, psi
+
+
+def test_abel_plana_oscillating_main_integral_is_cheap(iterlog):
+    # on the real axis the main integral turns 1e7 times here and spends
+    # the 200k-node budget; the rotated ray decays instead
+    for psi in (0.8, 1.6, 2.5):
+        parts = eval_abel_plana_parts(iterlog,
+                                      LogSurfacePoint(math.log(20.0), psi))
+        assert parts.main_angle > 0.0
+        assert parts.total.nodes <= 20_000, psi
+
+
+@pytest.mark.parametrize("r, psi", [(22.603760093590832, 0.06881273327438353),
+                                    (16.02773778087893, 0.021408728899228995),
+                                    (20.22751682994401, 0.034337093728816215)])
+def test_abel_plana_small_psi_stays_finite(iterlog, r, psi):
+    # nearly on the axis the ray's peak is tall and narrow; the path's
+    # scale must come from the true peak, or the integrand overflows
+    res = eval_abel_plana_rhs(iterlog, LogSurfacePoint(math.log(r), psi))
+    assert all(map(math.isfinite, (res.value.real, res.value.imag,
+                                   res.abs_error, res.log_scale)))
+
+
 def _count_engine_nodes(monkeypatch):
     from mellin_saddle import transforms
     nodes = [0]
@@ -283,9 +334,9 @@ def _count_engine_nodes(monkeypatch):
 
 
 def test_abel_plana_stops_at_rounding_floor(gamma0, monkeypatch):
-    # z e^z sits far below the main integral's mass here, so rel_tol 1e-8
-    # is out of reach; the engine stops at the integrand's declared floor
-    # instead of spending its 200k-node budget
+    # z e^z sits about 150 times below the three parts here, which cancel:
+    # each part meets rel_tol 1e-8 on the rotated main ray, but their sum
+    # misses it, so the call stays cheap and flagged
     nodes = _count_engine_nodes(monkeypatch)
     z = LogSurfacePoint(math.log(10.0), 2.5)
     res = eval_abel_plana_rhs(gamma0, z)

@@ -7,7 +7,11 @@ raises.  The evaluator lines are eval_K on both routes, eval_E_series,
 eval_growth_sum and eval_abel_plana_rhs on the four benchmark weights at r
 in {2, 5, 10} and psi in {0, 1, 2.5}; eval_E_series at 0 for each weight;
 and moment for n = 1..3 on each of the four weights: 196 lines, with
-payload repr((value, abs_error, nodes, log_scale, converged)).  The saddle
+payload repr((value, abs_error, nodes, log_scale, converged)).  Six more
+eval_abel_plana_rhs lines on iterated_log sit off that grid: r = 20 at
+psi in {0.8, 1.6, 2.5}, where the main integral's real axis turns 1e7
+times and more, and three small-psi points of abel_plana_grid, where the
+peak of a ray nearly on the axis is tall and narrow.  The saddle
 lines come next.  At the same 36 (weight, r, psi) points: solve, with
 payload repr((s_z, theta_z, iterations)), or repr of the region tag when
 there is no solution; classify at alpha = pi/2, with payload
@@ -32,7 +36,7 @@ the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 444 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 450 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -75,6 +79,10 @@ WEIGHTS = {
 }
 RADII = (2.0, 5.0, 10.0)
 PSIS = (0.0, 1.0, 2.5)
+AP_POINTS = ((20.0, 0.8), (20.0, 1.6), (20.0, 2.5),   # iterated_log (r, psi)
+             (22.603760093590832, 0.06881273327438353),
+             (16.02773778087893, 0.021408728899228995),
+             (20.22751682994401, 0.034337093728816215))
 MOMENT_WEIGHTS = tuple(WEIGHTS)
 MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
@@ -206,6 +214,11 @@ def calls():
                                 lambda fn=fn, f=f, z=z: _evaluated(fn(f, z))))
         out.append((f"E-at-0 {name}",
                     lambda f=f: _evaluated(ms.eval_E_series(f, 0))))
+    for r, psi in AP_POINTS:
+        z = ms.LogSurfacePoint(math.log(r), psi)
+        out.append((f"abel-plana iterated_log r={r:g} psi={psi:g}",
+                    lambda z=z: _evaluated(ms.eval_abel_plana_rhs(
+                        weights["iterated_log"], z))))
     for name in MOMENT_WEIGHTS:
         for n in MOMENT_ORDERS:
             out.append((f"moment {name} n={n}", lambda f=weights[name], n=n:
