@@ -25,8 +25,8 @@ its last step in w below _STEP_TOL = 1e-8.  Phi is evaluated one point
 at a time, as a Python complex.  solve_real and solve refuse saddle
 radii past 1e290; solve_real_log and solve_log_domain reach them
 (log_rho_z holds the radius, rho_z is inf).
-boundary_psi (Re Phi = log r up to theta = alpha) and
-point_with_saddle_radius (Im Phi = psi at |s| = rho*) use _line_root too.
+boundary_psi walks the same continuation until theta_z = alpha, and
+point_with_saddle_radius (Im Phi = psi at |s| = rho*) uses _line_root.
 Every region tag, here and in asymptotics, is made by RegionTag.of.
 """
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _line_root(f: AdmissibleFunction, w0: complex, along: complex,
                tol_resid: float, evals: int):
     """Newton in t for Re Phi(e^w) = target (along = 1) or Im Phi(e^w) =
     target (along = 1j) at w = w0 + along t, both of slope Re dPhi/dw.
-    Each residual's sign shrinks the bracket (lo, hi); a step leaving it
-    bisects, or gives up while an end is infinite.  (t, Phi, dPhi/dw) once
-    |resid| <= tol_resid; None after evals evaluations, once the bracket
-    has collapsed, or where Phi cannot be evaluated."""
+    Each residual's sign shrinks the finite bracket (lo, hi), and a step
+    leaving it bisects.  (t, Phi, dPhi/dw) once |resid| <= tol_resid; None
+    after evals evaluations, once the bracket has collapsed, or where Phi
+    cannot be evaluated."""
     for _ in range(evals):
         try:
             phi, dphi = _phi_w(f, w0 + along * t)
@@ -139,7 +139,7 @@ def _line_root(f: AdmissibleFunction, w0: complex, along: complex,
         lo, hi = (lo, t) if resid > 0 else (t, hi)
         t_new = t - resid / dphi.real if dphi.real > 0 else math.nan
         if not lo < t_new < hi:
-            if not hi - lo > 1e-14 * (abs(lo) + abs(hi)):   # inf or collapsed
+            if not hi - lo > 1e-14 * (abs(lo) + abs(hi)):   # collapsed
                 return None
             t_new = 0.5 * (lo + hi)
         t = t_new
@@ -333,10 +333,13 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
     """The positive sheet argument psi at which the saddle of r e^{i psi}
     sits at angle alpha (the boundary curve of Omega(alpha) at radius r).
 
-    theta steps from 0 to alpha on the level curve Re Phi(e^{u+i theta})
-    = log_r (_line_root in u, unbracketed, 6 evaluations; failures halve).
-    NoSaddleError where the curve folds (Re dPhi/dw <= 0), where the step
-    falls below 1e-9 alpha, or where the saddle of log_r + i psi misses.
+    psi walks _continue's path from the ray root: tangent predictor, then
+    _newton_w, in steps of 0.25 |dPhi/dw| at the current point that halve
+    for good after a Newton slower than 5 evaluations or failed.  A step
+    that would carry theta_z past alpha is Newton in psi on theta_z =
+    alpha instead (dtheta_z/dpsi = Re 1/Phi'), landing within 1e-10, so
+    solve at log_r + i psi continues to this saddle.  Newton stays inside
+    the sector; NoSaddleError after 64 Newton solves.
     """
     if alpha == 0.0:
         return 0.0
@@ -344,29 +347,25 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
         return -boundary_psi(f, log_r, -alpha)
     if not alpha < f.alpha0 - _EDGE_DELTA:
         raise SpecError(f"alpha too close to the sector edge {f.alpha0:.6g}")
-    tol_resid = _ROOT_TOL * (1.0 + abs(log_r))
-    x = u = _ray_root(f, log_r, _ROOT_TOL)
-    theta, dt = 0.0, alpha / math.ceil(alpha / 0.25)
-    while theta < alpha:
-        t_next = min(alpha, theta + dt)
-        root = _line_root(f, 1j * t_next, 1, log_r, u, -math.inf, math.inf,
-                          tol_resid, 6)
-        if root is not None:
-            if not root[2].real > 0.0:   # dpsi/dtheta = |Phi'|^2 / Re Phi'
-                raise NoSaddleError(f"{f.label}: the level curve of "
-                                    f"log_r = {log_r:.6g} folds")
-            theta, u, phi = t_next, root[0], root[1]
-        else:
-            dt *= 0.5
-            if dt < 1e-9 * alpha:
-                raise NoSaddleError(f"{f.label}: the level curve of log_r = "
-                                    f"{log_r:.6g} ends at theta = {theta:.6g}")
-    psi = phi.imag
-    sol = _continue(f, x, complex(log_r, psi))
-    if sol is None or not abs(sol.theta_z - alpha) <= 1e-8:
-        raise NoSaddleError(f"{f.label}: the saddle of psi = {psi:.6g} at "
-                            f"log_r = {log_r:.6g} is not at alpha")
-    return psi
+    w = complex(_ray_root(f, log_r, _ROOT_TOL))
+    dphi = _phi_w(f, w)[1]
+    psi, scale = 0.0, 0.25
+    for _ in range(64):
+        h, slope = scale * abs(dphi), (1.0 / dphi).real
+        newton = (alpha - w.imag) / slope if slope else h
+        dpsi = max(-h, min(newton, h)) if newton > 0 or w.imag > alpha else h
+        log_z = complex(log_r, psi + dpsi)
+        step = _newton_w(f, w + 1j * dpsi / dphi, log_z,
+                         _ROOT_TOL * (1.0 + abs(log_z)))
+        if step is not None:
+            w, _, iters, dphi = step
+            psi += dpsi
+            if abs(w.imag - alpha) <= 1e-10:
+                return psi
+        if step is None or iters > 5:
+            scale *= 0.5
+    raise NoSaddleError(f"{f.label}: no saddle at theta = {alpha:.6g} for log_r"
+                        f" = {log_r:.6g}; the walk stopped at psi = {psi:.6g}")
 
 
 def point_with_saddle_radius(f: AdmissibleFunction, rho_star: float,

@@ -294,8 +294,8 @@ _MAIN_LOG_DTAU = np.log(np.diff(_MAIN_TAUS, prepend=0.0))
 
 def _main_ray(f: AdmissibleFunction, logz: complex, s0: float, sign: float):
     """(phi, tau0, width) of the main integral's ray s = -s0 + tau e^{i phi}
-    by eval_abel_plana_parts' angle rule, or (0, None, None) for the real
-    axis.  tau0 is the peak of Re g, g = s log z - log gamma(s): Newton on
+    by eval_abel_plana_parts' angle rule, phi = 0 on the real axis.  tau0
+    is the peak of Re g, g = s log z - log gamma(s): Newton on
     Re g' = Re[e^{i phi} (log z - Phi(s))], bracketed by the grid samples
     around the largest; width = 1/sqrt|Re g''| there."""
     best = (math.inf, 0.0, None)
@@ -307,8 +307,6 @@ def _main_ray(f: AdmissibleFunction, logz: complex, s0: float, sign: float):
         if mass < best[0] - 1.0:
             best = (mass, sign * a, re)
     _, phi, re = best
-    if phi == 0.0:
-        return 0.0, None, None
     e = cmath.exp(1j * phi)
     k = int(np.argmax(re))
     lo = float(_MAIN_TAUS[k - 1]) if k else 0.0
@@ -342,20 +340,21 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     main integral of z^sigma/gamma(sigma) over sigma >= -sigma0 plus two
     vertical correction integrals with exponentially small kernels.
 
-    At psi = 0 the main integral runs on the real axis.  Off it, z^sigma
-    turns psi*sigma radians, so it runs on the ray sigma = -sigma0 +
-    tau e^{i phi}, tau >= 0, sign phi = sign psi, where that phase turns
-    into decay.  The angle rule: for each |phi| in {0, 0.5, 1.0, 1.4, 1.5},
-    weigh the ray's coarse mass log sum |integrand| dtau over 200
-    geometric tau in [1e-3, 1e15], and keep the least, a larger angle
-    replacing a smaller one only when it cuts the mass by more than a
-    factor e; phi = 0 is the real-axis route.  Every candidate stays below
-    pi/2 < alpha0 and in Re s >= -sigma0, where 1/gamma is analytic
-    (default_sigma0 imposes that, and a caller's sigma0 is checked against
-    it), so by Cauchy's theorem the ray gives the real-axis integral: Gil,
-    Segura and Temme, Numerical Methods for Special Functions (2007),
-    ch. 5.  The ray's integration starts from the true peak of its
-    integrand, which sets the path's scale.  main_angle reports phi."""
+    The main integral runs on the ray sigma = -sigma0 + tau e^{i phi},
+    tau >= 0, sign phi = sign psi: off psi = 0, z^sigma turns psi*sigma
+    radians, and a ray off the real axis turns that phase into decay.
+    The angle rule: for each |phi| in {0, 0.5, 1.0, 1.4, 1.5}, weigh the
+    ray's coarse mass log sum |integrand| dtau over 200 geometric tau in
+    [1e-3, 1e15], and keep the least, a larger angle replacing a smaller
+    one only when it cuts the mass by more than a factor e; phi = 0 is
+    the real axis, where gamma's poles are zeros of the integrand.  Every
+    candidate stays below pi/2 < alpha0 and in Re s >= -sigma0, where
+    1/gamma is analytic (default_sigma0 imposes that, and a caller's
+    sigma0 is checked against it), so by Cauchy's theorem the ray gives
+    the real-axis integral: Gil, Segura and Temme, Numerical Methods for
+    Special Functions (2007), ch. 5.  The ray's integration starts from
+    the true peak of its integrand, which sets the path's scale.
+    main_angle reports phi."""
     tols = tol or Tolerances()
     if abs(z.psi) > math.pi + 1e-12:
         raise SpecError(f"Abel-Plana route needs |psi| <= pi, got {z.psi:.6g}")
@@ -363,31 +362,16 @@ def eval_abel_plana_parts(f: AdmissibleFunction, z: LogSurfacePoint,
     if not (0.0 < s0 < 1.0) or (f.c_gamma > 0 and s0 >= min(f.c_gamma, 1.0)):
         raise SpecError(f"sigma0 = {s0:.6g} outside (0, min(c_gamma, 1))")
     logz = z.log_z
-    phi, t0, width = (0.0, None, None) if z.psi == 0.0 else \
-        _main_ray(f, logz, s0, math.copysign(1.0, z.psi))
-    if phi == 0.0:
-        def g_main(sig):
-            s = sig.astype(complex)
-            g = s * logz - f.log_gamma(s)
-            # gamma's poles on the path (Gamma(0)) are zeros of the integrand
-            return np.where(np.isfinite(g), g, -np.inf)[:, None]
+    phi, t0, width = _main_ray(f, logz, s0, math.copysign(1.0, z.psi))
+    e = cmath.exp(1j * phi)
 
-        try:
-            t0 = solve_real(f, z.log_r)
-        except NoSaddleError:
-            t0 = max(0.5, -s0 + 0.25)
-        lo = -s0
-        width = max(1.0, math.sqrt(1.0 / max(abs(complex(f.d2log_gamma(
-            np.complex128(max(t0, 1e-3))))), 1e-300)))
-    else:
-        e = cmath.exp(1j * phi)
+    def g_main(tau):
+        s = -s0 + tau * e
+        g = s * logz - f.log_gamma(s) + 1j * phi
+        # gamma's poles on the real axis (Gamma(0)) are zeros of the integrand
+        return np.where(np.isfinite(g), g, -np.inf)[:, None]
 
-        def g_main(tau):
-            s = -s0 + tau * e
-            return (s * logz - f.log_gamma(s) + 1j * phi)[:, None]
-
-        lo = 0.0
-    main = _path_integral(g_main, tols, lo, t0, math.inf, width,
+    main = _path_integral(g_main, tols, 0.0, t0, math.inf, width,
                           f"Abel-Plana main integral for z = {z} "
                           f"(phi = {phi:.4g})")
 

@@ -332,21 +332,29 @@ _BOUNDARY_LOG_R = {"gamma0": (1.0, 30.0, 700.0, 3000.0),
                    "gamma1": (1.0, 30.0, 700.0, 3000.0),
                    "iterlog": (0.5, 2.0, 8.0),
                    "theorem3_power": (1.0, 5.0, 18.7)}
+# (log r, alpha) past a fold of theta_z(psi): theta_z rises, dips while
+# Re dPhi/dw < 0 (at the first, from 2.37952 at psi ~ 0.725 to 2.3774),
+# then rises through alpha (at psi ~ 1.3078 and 1.1888)
+_BOUNDARY_FOLDS = {"iterlog": ((1.3776657597691564, 2.463799677850693),
+                               (1.386788134307975, 2.4414453619435657))}
 
 
 @pytest.mark.parametrize("weight", sorted(_BOUNDARY_LOG_R))
 def test_boundary_psi_lands_on_alpha(request, weight):
     f = request.getfixturevalue(weight)
-    for log_r in _BOUNDARY_LOG_R[weight]:
+    cases = [(log_r, alpha) for log_r in _BOUNDARY_LOG_R[weight]
+             for alpha in (0.3, 1.0, math.pi / 2, 2.5)]
+    for log_r, alpha in cases + list(_BOUNDARY_FOLDS.get(weight, ())):
         far = solve_real_log(f, log_r) > math.log(1e290)
-        for alpha in (0.3, 1.0, math.pi / 2, 2.5):
-            z = LogSurfacePoint(log_r, boundary_psi(f, log_r, alpha))
-            sol, _ = solve_log_domain(f, z) if far else solve(f, z)
-            assert abs(sol.theta_z - alpha) <= 1e-8, (log_r, alpha)
+        z = LogSurfacePoint(log_r, boundary_psi(f, log_r, alpha))
+        sol, _ = solve_log_domain(f, z) if far else solve(f, z)
+        assert abs(sol.theta_z - alpha) <= 1e-8, (log_r, alpha)
 
 
-def test_boundary_psi_cost(gamma0, monkeypatch):
-    # one ray solve, one pass in theta and one confirming continuation
+def test_boundary_psi_cost(gamma0, factorial_measure, monkeypatch):
+    # one ray solve and one walk in psi, whose steps follow |dPhi/dw| at
+    # each point: at the positive-type point psi = 24.1 is large against
+    # |dPhi/dw| at the ray root
     calls = []
     phi_w = saddle._phi_w
 
@@ -357,6 +365,9 @@ def test_boundary_psi_cost(gamma0, monkeypatch):
     monkeypatch.setattr(saddle, "_phi_w", counted)
     boundary_psi(gamma0, math.log(25.0), 0.8)
     assert len(calls) <= 50
+    calls.clear()
+    boundary_psi(factorial_measure, -0.5, 3.1)
+    assert len(calls) <= 300
 
 
 def test_boundary_psi_exact_where_phi_is(gamma0):
@@ -365,12 +376,13 @@ def test_boundary_psi_exact_where_phi_is(gamma0):
 
 
 def test_boundary_psi_refusals(gamma0, iterlog):
-    # the level curve of log r = 0 folds back near theta = 1.81, short of 2
+    # at log r = 0, theta_z(psi) peaks near 1.81, short of 2, and falls
+    # toward pi/2: the walk stops after its 64 Newton solves
     with pytest.raises(NoSaddleError):
         boundary_psi(gamma0, 0.0, 2.0)
     # at log r = 50, psi on the curve is about 1e-22 and |dPhi/dw| about
-    # 2e-22; the confirming continuation resolves it, since a Newton step
-    # in w must be small as well as the residual
+    # 2e-22; the walk resolves it, since its steps scale with |dPhi/dw| and
+    # a Newton step in w must be small as well as the residual
     psi = boundary_psi(iterlog, 50.0, 0.5)
     assert 0.0 < psi < 1e-21
     sol, _ = solve_log_domain(iterlog, LogSurfacePoint(50.0, psi))

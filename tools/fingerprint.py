@@ -18,7 +18,10 @@ there is no solution; classify at alpha = pi/2, with payload
 repr((kind, rho0_used)); K_asymptotic, with payload
 repr((value, log_scale, region kind)); and local_gaussian_saddle, with
 payload repr(value).  Then boundary_psi on the four weights at r in
-{2, 5, 10} and alpha in {0.5, pi/2, 2.5}, with payload repr(psi), and
+{2, 5, 10} and alpha in {0.5, pi/2, 2.5}, and on iterated_log at two
+(log r, alpha) past a fold of theta_z(psi), (1.3776657597691564,
+2.463799677850693) and (1.386788134307975, 2.4414453619435657), from the
+benchmark's boundary stream, with payload repr(psi); and
 point_with_saddle_radius on the four weights at rho* in {10, 35, 100} and
 psi in {0, 0.9, -1.5}, with payload repr((log_r, psi, s)).  The weight
 kind has one line for each of 12 weights of the weight layer (powers, a
@@ -36,7 +39,7 @@ the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 450 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 452 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -86,6 +89,8 @@ AP_POINTS = ((20.0, 0.8), (20.0, 1.6), (20.0, 2.5),   # iterated_log (r, psi)
 MOMENT_WEIGHTS = tuple(WEIGHTS)
 MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
+BOUNDARY_FOLDS = ((1.3776657597691564, 2.463799677850693),  # iterated_log
+                  (1.386788134307975, 2.4414453619435657))  # (log r, alpha)
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
@@ -242,6 +247,11 @@ def calls():
                 out.append((f"boundary_psi {name} r={r:g} alpha={alpha:g}",
                             lambda f=f, r=r, alpha=alpha:
                             repr(ms.boundary_psi(f, math.log(r), alpha))))
+    for log_r, alpha in BOUNDARY_FOLDS:
+        out.append((f"boundary_psi iterated_log log_r={log_r!r} "
+                    f"alpha={alpha!r}", lambda log_r=log_r, alpha=alpha:
+                    repr(ms.boundary_psi(weights["iterated_log"], log_r,
+                                         alpha))))
     for name, f in weights.items():
         for rho in RHO_STARS:
             for psi in RAY_PSIS:
