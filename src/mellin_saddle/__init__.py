@@ -34,8 +34,8 @@ from .asymptotics import (AsymptoticValue, E_asymptotic, K_asymptotic,
 from .verification import (VerificationReport, scan_ratio, verify_carleman,
                            verify_moments, verify_positivity,
                            verify_theorem3_limits)
-from .errors import (BuildError, ContinuationError, MellinSaddleError,
-                     NoSaddleError, NumericalError, PowerOverflowError,
-                     QuadratureError, RegionError, SpecError)
+from .errors import (BuildError, MellinSaddleError, NoSaddleError,
+                     NumericalError, PowerOverflowError, QuadratureError,
+                     RegionError, SpecError)
 
 __version__ = "0.1.0"

@@ -37,15 +37,6 @@ class NoSaddleError(NumericalError):
     """The saddle equation has no root in range on the requested ray/sheet."""
 
 
-class ContinuationError(NumericalError):
-    """Argument continuation of the saddle broke down; carries last good state."""
-
-    def __init__(self, message: str, last_t: float = 0.0, last_s: complex = 0j):
-        self.last_t = float(last_t)
-        self.last_s = complex(last_s)
-        super().__init__(f"{message} (last good t={last_t:.6g}, s={last_s:.6g})")
-
-
 class QuadratureError(NumericalError):
     """A quadrature did not converge within the node budget."""
 

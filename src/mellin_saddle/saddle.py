@@ -8,12 +8,13 @@ enough, so a saddle is found in two stages:
 
 * the ray root x = log rho of Phi(e^x) = log r, by a doubling bracket in
   x and _line_root, the one real root finder (Newton on a line in w);
-* a Newton continuation in w from x toward log z = log r + i psi, with
-  theta_z = Im w.  Each step starts from the tangent predictor
-  w + i dpsi / Phi'(w) (dw/dpsi = i / Phi'), and no Newton iterate may
-  leave the sector |Im w| < alpha0, past which a weight's jet need not
-  continue Phi.  If theta_z reaches the sector edge before psi is
-  reached, the point has no saddle there and is tagged accordingly.
+* _walk, the one continuation in psi from x toward log z = log r + i psi,
+  with theta_z = Im w: tangent predictor and Newton in w, in steps that
+  follow |dPhi/dw| at the current point (its docstring states the rule).
+  No Newton iterate may leave the sector |Im w| < alpha0, past which a
+  weight's jet need not continue Phi.  If theta_z reaches the sector edge
+  before psi is reached, the point has no saddle there and is tagged
+  accordingly.
 
 Both stages are memoized per weight: solve, classify and the asymptotics
 at one point share one ray root and one continuation, and a repeat
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .catalog import _JET_LOG_RADIUS, AdmissibleFunction
-from .errors import ContinuationError, NoSaddleError, SpecError
+from .errors import NoSaddleError, SpecError
 from .surface import LogSurfacePoint
 
 _ROOT_TOL = 1e-10           # relative residual of every root but solve_real_log's
@@ -223,50 +224,69 @@ def _newton_w(f: AdmissibleFunction, w: complex, target: complex,
     return None
 
 
+def _walk(f: AdmissibleFunction, x: float, log_r: float,
+          psi_end: Optional[float], alpha: Optional[float]):
+    """The one continuation in psi of the saddle of log r + i psi, from the
+    ray root x: (psi, w, |resid|, Newton evaluations) at its end.
+
+    A step of psi starts from the tangent predictor w + i dpsi / Phi'(w)
+    (dw/dpsi = i / Phi') and is solved by _newton_w, inside the sector.
+    |dpsi| is at most 0.25 |dPhi/dw| at the current point, so theta_z
+    moves about 0.25 rad; the factor halves for good after a Newton that
+    took more than 5 evaluations or failed.  For solve (alpha None) the
+    walk ends on psi_end, which its last step lands on exactly, and
+    returns None once |theta_z| reaches the sector edge alpha0 - 0.02.
+    For boundary_psi (alpha > 0) a step that would carry theta_z past
+    alpha is Newton in psi on theta_z = alpha instead (dtheta_z/dpsi =
+    Re 1/Phi'), clipped to the plain step, and the walk ends within 1e-10
+    of alpha.  NoSaddleError after 64 Newton solves.
+    """
+    w = complex(x)
+    phi, dphi = _phi_w(f, w)
+    if dphi == 0 or not cmath.isfinite(dphi):
+        raise NoSaddleError(f"{f.label}: dPhi/dw = {dphi} at the ray root")
+    psi, resid, evals, scale = 0.0, abs(phi - log_r), 1, 0.25
+    for solves in range(65):        # the last pass only checks the 64th
+        if psi == psi_end if alpha is None else abs(w.imag - alpha) <= 1e-10:
+            return psi, w, resid, evals
+        if solves == 64:
+            break
+        h = scale * abs(dphi)
+        if alpha is None:
+            psi_next = (psi_end if abs(psi_end - psi) <= h
+                        else psi + math.copysign(h, psi_end - psi))
+            dpsi = psi_next - psi
+        else:
+            slope = (1.0 / dphi).real
+            newton = (alpha - w.imag) / slope if slope else h
+            dpsi = max(-h, min(newton, h)) if newton > 0 or w.imag > alpha else h
+            psi_next = psi + dpsi
+        log_z = complex(log_r, psi_next)
+        step = _newton_w(f, w + 1j * dpsi / dphi, log_z,
+                         _ROOT_TOL * (1.0 + abs(log_z)))
+        if step is not None:
+            w, resid, iters, dphi = step
+            psi, evals = psi_next, evals + iters
+            if alpha is None and abs(w.imag) >= f.alpha0 - _EDGE_DELTA:
+                return None
+        if step is None or iters > 5:
+            scale *= 0.5
+    raise NoSaddleError(f"{f.label}: the walk in psi at log_r = {log_r:.6g} "
+                        f"stopped at psi = {psi:.6g} after 64 Newton solves")
+
+
 @_memoized
 def _continue(f: AdmissibleFunction, x: float,
               log_z: complex) -> Optional[SaddleSolution]:
-    """Continue the ray root x to the saddle of log_z = log r + i psi.
-
-    Steps of psi start near 0.25 |dPhi/dw| (theta_z then moves about
-    0.25 rad per step).  Each step's Newton starts from the tangent
-    predictor w + i dpsi / Phi'(w), since dw/dpsi = i / Phi', with Phi'
-    from the root just accepted, and stays in the sector (_newton_w); a
-    step is accepted when Newton converges, and dt halves when it took
-    more than 5 evaluations or failed.  None when theta_z reaches the
-    sector edge first.  Memoized per weight.
-    """
-    psi = log_z.imag
-    edge = f.alpha0 - _EDGE_DELTA
-    tol_resid = _ROOT_TOL * (1.0 + abs(log_z))
-    w = complex(x)
-    phi, dphi = _phi_w(f, w)
-    resid = abs(phi - log_z)
-    total_iters = 1
-    n_steps = max(1, int(math.ceil(abs(psi) / (0.25 * max(abs(dphi), 1e-12)))))
-    dt = 1.0 / n_steps
-    t = 0.0 if psi != 0.0 else 1.0
-    halvings = 0
-    while t < 1.0 - 1e-15:
-        t_next = min(1.0, t + dt)
-        guess = w + 1j * (t_next - t) * psi / dphi if dphi else w
-        step = _newton_w(f, guess, complex(log_z.real, t_next * psi),
-                         tol_resid)
-        if step is not None:
-            w, resid, iters, dphi = step
-            t = t_next
-            total_iters += iters
-            if abs(w.imag) >= edge:
-                return None
-        if step is None or iters > 5:      # failed or slow: refine the step
-            dt *= 0.5
-            halvings += 1
-            if halvings > 60:
-                raise ContinuationError(
-                    f"{f.label}: continuation breakdown toward psi={psi:.6g}",
-                    last_t=t, last_s=_exp_w(w)[0])
+    """The saddle of log_z = log r + i psi, by _walk from the ray root x to
+    psi; None where theta_z reaches the sector edge first.  Memoized per
+    weight."""
+    end = _walk(f, x, log_z.real, log_z.imag, None)
+    if end is None:
+        return None
+    _, w, resid, iterations = end
     s_z, rho = _exp_w(w)
-    return SaddleSolution(s_z, rho, w.imag, resid, total_iters, w.real)
+    return SaddleSolution(s_z, rho, w.imag, resid, iterations, w.real)
 
 
 def _ray_in_range(f: AdmissibleFunction, log_r: float) -> float:
@@ -302,7 +322,8 @@ def solve(f: AdmissibleFunction, z: LogSurfacePoint
     f.default_rho0()).  When the continuation path hits that sector edge
     before reaching psi, the solution is None and the tag reads no_saddle
     (the point lies outside every Omega(alpha) with alpha below the edge).
-    Raises NoSaddleError where solve_real does.
+    Raises NoSaddleError where solve_real does, and where the walk in psi
+    gives up (_walk).
     """
     rho0 = f.default_rho0()
     sol = _continue(f, _ray_in_range(f, z.log_r), z.log_z)
@@ -331,15 +352,9 @@ def classify(f: AdmissibleFunction, z: LogSurfacePoint, alpha: float) -> RegionT
 
 def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
     """The positive sheet argument psi at which the saddle of r e^{i psi}
-    sits at angle alpha (the boundary curve of Omega(alpha) at radius r).
-
-    psi walks _continue's path from the ray root: tangent predictor, then
-    _newton_w, in steps of 0.25 |dPhi/dw| at the current point that halve
-    for good after a Newton slower than 5 evaluations or failed.  A step
-    that would carry theta_z past alpha is Newton in psi on theta_z =
-    alpha instead (dtheta_z/dpsi = Re 1/Phi'), landing within 1e-10, so
-    solve at log_r + i psi continues to this saddle.  Newton stays inside
-    the sector; NoSaddleError after 64 Newton solves.
+    sits at angle alpha (the boundary curve of Omega(alpha) at radius r):
+    _walk from the ray root until theta_z = alpha, so solve at log_r + i psi
+    continues to this saddle.
     """
     if alpha == 0.0:
         return 0.0
@@ -347,25 +362,7 @@ def boundary_psi(f: AdmissibleFunction, log_r: float, alpha: float) -> float:
         return -boundary_psi(f, log_r, -alpha)
     if not alpha < f.alpha0 - _EDGE_DELTA:
         raise SpecError(f"alpha too close to the sector edge {f.alpha0:.6g}")
-    w = complex(_ray_root(f, log_r, _ROOT_TOL))
-    dphi = _phi_w(f, w)[1]
-    psi, scale = 0.0, 0.25
-    for _ in range(64):
-        h, slope = scale * abs(dphi), (1.0 / dphi).real
-        newton = (alpha - w.imag) / slope if slope else h
-        dpsi = max(-h, min(newton, h)) if newton > 0 or w.imag > alpha else h
-        log_z = complex(log_r, psi + dpsi)
-        step = _newton_w(f, w + 1j * dpsi / dphi, log_z,
-                         _ROOT_TOL * (1.0 + abs(log_z)))
-        if step is not None:
-            w, _, iters, dphi = step
-            psi += dpsi
-            if abs(w.imag - alpha) <= 1e-10:
-                return psi
-        if step is None or iters > 5:
-            scale *= 0.5
-    raise NoSaddleError(f"{f.label}: no saddle at theta = {alpha:.6g} for log_r"
-                        f" = {log_r:.6g}; the walk stopped at psi = {psi:.6g}")
+    return _walk(f, _ray_root(f, log_r, _ROOT_TOL), log_r, None, alpha)[0]
 
 
 def point_with_saddle_radius(f: AdmissibleFunction, rho_star: float,

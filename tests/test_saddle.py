@@ -9,9 +9,10 @@ import scipy.special as sp
 
 from mellin_saddle import (E_asymptotic, K_asymptotic, LogSurfacePoint,
                            NoSaddleError, RegionError, SpecError, boundary_psi,
-                           build_theorem3, classify, ell_power, exp_scale,
-                           gamma_shift, iterated_log, local_gaussian_saddle,
-                           point_with_saddle_radius, power, product,
+                           build_positive_type, build_theorem3, classify,
+                           ell_power, exp_scale, gamma_shift, iterated_log,
+                           local_gaussian_saddle, point_with_saddle_radius,
+                           positive_type_factorial, power, product,
                            QuadratureError, quotient, solve, solve_real)
 from mellin_saddle import saddle
 from mellin_saddle.saddle import solve_log_domain, solve_real_log
@@ -368,6 +369,12 @@ def test_boundary_psi_cost(gamma0, factorial_measure, monkeypatch):
     calls.clear()
     boundary_psi(factorial_measure, -0.5, 3.1)
     assert len(calls) <= 300
+    # solve walks the same way to that saddle, on a fresh weight
+    f = build_positive_type(positive_type_factorial())
+    calls.clear()
+    sol, _ = solve(f, LogSurfacePoint(-0.5, 24.119675937116757))
+    assert abs(sol.theta_z - 3.1) <= 1e-8
+    assert len(calls) <= 300
 
 
 def test_boundary_psi_exact_where_phi_is(gamma0):
@@ -521,23 +528,21 @@ def test_ray_bracket_stops_at_the_jet_cut():
     assert solve_real_log(f, 290.5) == pytest.approx(290.0, abs=1e-9)
 
 
-def _exact_theta(jet, log_r, psi, steps=5000):
-    """theta_z of log r + i psi for build_theorem3(ell_power(1, 1)) on its
-    closed form, without the saddle layer: bisection on the ray, then
-    `steps` equal steps of psi, each solved by Newton in w from the last
-    root; None once |theta| reaches the sector edge pi - 0.02."""
+def _exact_theta(phi_w, log_r, psi, steps):
+    """theta_z of log r + i psi on phi_w(w) = (Phi(e^w), dPhi/dw), without
+    the saddle layer: bisection on the ray, then `steps` equal steps of
+    psi, each solved by Newton in w from the last root; None once |theta|
+    reaches the sector edge pi - 0.02."""
     lo, hi = 0.0, 50.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        lo, hi = (mid, hi) if jet(1.0, 1.0, cmath.exp(mid))[1].real < log_r \
-            else (lo, mid)
+        lo, hi = (mid, hi) if phi_w(complex(mid))[0].real < log_r else (lo, mid)
     w = complex(lo)
     for k in range(1, steps + 1):
         target = complex(log_r, psi * k / steps)
         for _ in range(20):
-            s = cmath.exp(w)
-            _, phi, d2 = jet(1.0, 1.0, s)
-            step = (phi - target) / (s * d2)      # dPhi/dw = s Phi'(s)
+            phi, dphi = phi_w(w)
+            step = (phi - target) / dphi
             w -= step
             if abs(step) < 1e-14 * (1.0 + abs(w)):
                 break
@@ -546,6 +551,15 @@ def _exact_theta(jet, log_r, psi, steps=5000):
         if abs(w.imag) >= math.pi - 0.02:
             return None
     return w.imag
+
+
+def _closed_form_phi(jet):
+    """phi_w of build_theorem3(ell_power(1, 1)) from its closed form."""
+    def phi_w(w):
+        s = cmath.exp(w)
+        _, phi, d2 = jet(1.0, 1.0, s)
+        return phi, s * d2                        # dPhi/dw = s Phi'(s)
+    return phi_w
 
 
 # The first three once expected theta_z = 3.10196, -3.09467 and 3.10044:
@@ -560,9 +574,27 @@ _NEARBY_ROOTS = [(15.42, 6.78), (7.48, -5.09), (6.91, 6.08),
 
 @pytest.mark.parametrize("log_r, psi", _NEARBY_ROOTS)
 def test_continue_keeps_the_nearby_root(ell_power_exact, log_r, psi):
-    want = _exact_theta(ell_power_exact, log_r, psi)
+    want = _exact_theta(_closed_form_phi(ell_power_exact), log_r, psi, 5000)
     sol, tag = solve(build_theorem3(ell_power(1.0, 1.0)),
                      LogSurfacePoint(log_r, psi))
+    if want is None:
+        assert sol is None and tag.kind == "no_saddle"
+    else:
+        assert sol.theta_z == pytest.approx(want, abs=1e-9)
+
+
+# saddle_sweep points where a continuation whose psi-step stayed set by
+# |dPhi/dw| at the ray root met the sector edge: the saddle exists
+_WALKED_ROOTS = [("iterlog", 1.4357196727634158, -3.0378341598780016),
+                 ("iterlog", 1.435084907138416, 1.722677067372377),
+                 ("gamma0", 1.8044873001772448, 8.239122839430141)]
+
+
+@pytest.mark.parametrize("weight, log_r, psi", _WALKED_ROOTS)
+def test_solve_follows_the_continuation(request, weight, log_r, psi):
+    f = request.getfixturevalue(weight)
+    want = _exact_theta(f.phi_log, log_r, psi, math.ceil(abs(psi) / 2e-4))
+    sol, tag = solve(f, LogSurfacePoint(log_r, psi))
     if want is None:
         assert sol is None and tag.kind == "no_saddle"
     else:

@@ -17,11 +17,16 @@ payload repr((s_z, theta_z, iterations)), or repr of the region tag when
 there is no solution; classify at alpha = pi/2, with payload
 repr((kind, rho0_used)); K_asymptotic, with payload
 repr((value, log_scale, region kind)); and local_gaussian_saddle, with
-payload repr(value).  Then boundary_psi on the four weights at r in
-{2, 5, 10} and alpha in {0.5, pi/2, 2.5}, and on iterated_log at two
-(log r, alpha) past a fold of theta_z(psi), (1.3776657597691564,
-2.463799677850693) and (1.386788134307975, 2.4414453619435657), from the
-benchmark's boundary stream, with payload repr(psi); and
+payload repr(value).  Three more solve lines sit where the continuation's
+step matters, from the benchmark's saddle stream: iterated_log at (log r,
+psi) = (1.4357196727634158, -3.0378341598780016), and gamma_shift0 at
+(1.8044873001772448, 8.239122839430141) and (1.9779492142397448,
+-8.257470683123667), by a pole of digamma near the sector edge.  Then
+boundary_psi on the four weights at r in {2, 5, 10} and alpha in {0.5,
+pi/2, 2.5}, and on iterated_log at two (log r, alpha) past a fold of
+theta_z(psi), (1.3776657597691564, 2.463799677850693) and
+(1.386788134307975, 2.4414453619435657), from the benchmark's boundary
+stream, with payload repr(psi); and
 point_with_saddle_radius on the four weights at rho* in {10, 35, 100} and
 psi in {0, 0.9, -1.5}, with payload repr((log_r, psi, s)).  The weight
 kind has one line for each of 12 weights of the weight layer (powers, a
@@ -39,7 +44,7 @@ the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 452 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 455 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -91,6 +96,9 @@ MOMENT_ORDERS = (1, 2, 3)
 ALPHAS = (0.5, 0.5 * math.pi, 2.5)
 BOUNDARY_FOLDS = ((1.3776657597691564, 2.463799677850693),  # iterated_log
                   (1.386788134307975, 2.4414453619435657))  # (log r, alpha)
+WALK_POINTS = (("iterated_log", 1.4357196727634158, -3.0378341598780016),
+               ("gamma_shift0", 1.8044873001772448, 8.239122839430141),
+               ("gamma_shift0", 1.9779492142397448, -8.257470683123667))
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
@@ -241,6 +249,10 @@ def calls():
                     z = ms.LogSurfacePoint(math.log(r), psi)
                     out.append((f"{kind} {name} r={r:g} psi={psi:g}",
                                 lambda fn=fn, f=f, z=z: fn(f, z)))
+    for name, log_r, psi in WALK_POINTS:
+        out.append((f"solve {name} log_r={log_r!r} psi={psi!r}",
+                    lambda f=weights[name], z=ms.LogSurfacePoint(log_r, psi):
+                    _solved(ms.solve(f, z))))
     for name, f in weights.items():
         for r in RADII:
             for alpha in ALPHAS:
