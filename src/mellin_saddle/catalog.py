@@ -59,6 +59,8 @@ _CAUCHY_BLOCK = 2 ** 14
 _gauss_rule = cache(np.polynomial.legendre.leggauss)
 # theorem3's Cauchy-kernel contours leave the real axis along e^{+-i pi/4}
 _RAY = cmath.exp(0.25j * math.pi)
+# on grids that cover |s| up to 1e8, 1e9, ... (products of 10), then inf
+_COVERS = np.append(np.cumprod([1e8] + [10.0] * 300), math.inf)
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
@@ -178,8 +180,13 @@ class AdmissibleFunction:
 
     @cached_property
     def _eps_probe(self):
-        # eps on 61 log-spaced radii in [1, 1e6]; [40:] spans [1e4, 1e6]
-        return np.real(self.epsilon(np.geomspace(1.0, 1e6, 61) + 0j))
+        # eps on 61 log-spaced radii in [1, 1e6]; [40:] spans [1e4, 1e6].
+        # The even ones are _rho0's 31 radii, bit for bit: read from there
+        rho = np.geomspace(1.0, 1e6, 61)
+        eps = np.empty(rho.size)
+        eps[::2] = self._rho0_probe[1].real
+        eps[1::2] = self.epsilon(rho[1::2] + 0j).real
+        return eps
 
     def epsilon_sup(self) -> float:
         """sup of eps over a log grid on [1, 1e6]; proxy for limsup estimates."""
@@ -199,9 +206,14 @@ class AdmissibleFunction:
         return self._rho0
 
     @cached_property
-    def _rho0(self) -> float:
+    def _rho0_probe(self):
+        """default_rho0's 31 radii in [1, 1e6], with eps and eps' there."""
         rho = np.geomspace(1.0, 1e6, 31)
-        eps, epsp = self._epsilons(rho + 0j)
+        return (rho, *self._epsilons(rho + 0j))
+
+    @cached_property
+    def _rho0(self) -> float:
+        rho, eps, epsp = self._rho0_probe
         with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0: not ok
             b = np.abs(rho * epsp.real / eps.real)
         fan = min(0.5 * math.pi, self.alpha0 - _K_DELTA)
@@ -555,30 +567,30 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
     The side changes at theta = +-pi: the jet does not continue log gamma
     across the negative axis.
 
-    A call splits its points by the sign of Im s and uses, per side, the
-    grid that covers |s| up to the least power of ten (1e8 at the
-    smallest) above its own largest |s|.  Each (cover, side) grid is
-    built once, so no value depends on earlier calls or on the other
-    points of a call.  In v a grid runs 45 past log(s_cover/c), on
+    Each point takes the grid of its own side (the sign of Im s) and
+    cover: the least power of ten, 1e8 at the smallest, at or above its
+    |s|.  A call sums each (cover, side) group of its points on that
+    grid, built once, so no value depends on earlier calls or on the
+    other points of a call.  In v a grid runs 45 past log(s_cover/c), on
     15-point Gauss panels 0.5 long.
     """
-    grids = {}      # (s_cover, Im s >= 0) -> (nodes u, weights), complex
+    grids = {}      # (cover index, Im s >= 0) -> (nodes u, weights), complex
 
-    def sums(s, s_cover, up, count):
-        if (s_cover, up) not in grids:
-            v_max = math.log(s_cover / ell.c) + 45.0
+    def sums(s, cover, up, count):
+        if (cover, up) not in grids:
+            v_max = math.log(_COVERS[cover] / ell.c) + 45.0
             n_panels = max(8, int(math.ceil(v_max / 0.5)))
             v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
             ray = ell.c * (_RAY if up else _RAY.conjugate())
             u = ell.c + np.expm1(v) * ray
             g = np.asarray(ell.dlog_ell(u), dtype=complex)
-            grids[s_cover, up] = (u, wv * g * np.exp(v) * ray)  # du = e^v ray dv
-        return _cauchy_sums(s, *grids[s_cover, up], count)
+            grids[cover, up] = (u, wv * g * np.exp(v) * ray)  # du = e^v ray dv
+        return _cauchy_sums(s, *grids[cover, up], count)
 
     # the two grids agree on the real axis, to rounding, exactly when
     # (log ell)' is analytic between them
     x = np.array([complex(ell.c)])
-    up, down = (sums(x, 1e8, side, 1)[0][0] for side in (True, False))
+    up, down = (sums(x, 0, side, 1)[0][0] for side in (True, False))
     if not abs(up - down) <= 1e-12 * abs(up):
         raise BuildError(
             f"{ell.label}: (log ell)' is not analytic between the rays "
@@ -587,24 +599,18 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
 
     def jet_fn(s, order):
         flat = np.ravel(s)
-        amax = (abs(s) if isinstance(s, complex) else
-                float(np.abs(flat).max()) if flat.size else 1.0)
-        s_cover = 1e8
-        while s_cover < amax:
-            s_cover *= 10.0
-        if isinstance(s, complex):
-            i = sums(flat, s_cover, s.imag >= 0.0, order + 1)
+        # each point's grid; fmax takes a NaN |s| to the first cover
+        cover = _COVERS.searchsorted(np.fmax(abs(flat), 0.0))
+        up = flat.imag >= 0.0
+        grid_of = set(zip(cover.tolist(), up.tolist()))
+        if len(grid_of) == 1:
+            i = sums(flat, *grid_of.pop(), order + 1)
         else:
-            up = flat.imag >= 0.0
-            all_up = bool(up.all())
-            if all_up or not up.any():
-                i = sums(flat, s_cover, all_up, order + 1)
-            else:
-                i = [np.empty_like(flat) for _ in range(order + 1)]
-                for side, part in ((True, up), (False, ~up)):
-                    for out, x in zip(i, sums(flat[part], s_cover, side,
-                                              order + 1)):
-                        out[part] = x
+            i = [np.empty_like(flat) for _ in range(order + 1)]
+            for c, side in grid_of:
+                part = (cover == c) & (up == side)
+                for out, x in zip(i, sums(flat[part], c, side, order + 1)):
+                    out[part] = x
         return _cauchy_jet(s, s, i, order)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,

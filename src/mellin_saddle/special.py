@@ -3,10 +3,10 @@
 scipy provides loggamma and digamma for complex arguments; trigamma
 (psi') is only wrapped for real input, so it is built here from the
 standard recurrence plus the asymptotic series, with a reflection step
-for points far out near the negative real axis.  It takes an ndarray or
-one number: a finite Python complex (numpy's complex128 included) stays
-one, and is worked in cmath by the same recurrence and series, so a
-point of the saddle layer costs no numpy call.
+for points far out near the negative real axis (DLMF 5.15).  The rules
+are written once, in cmath, for one number: a Python complex (numpy's
+complex128 included) stays one and costs no numpy call, and an ndarray
+is taken point by point through them, so no value depends on the call.
 """
 from __future__ import annotations
 
@@ -42,65 +42,40 @@ def _trigamma_asymptotic(z):
     return w + 0.5 * w2 + acc * w
 
 
-def _recurrence(z, n, steps: int):
-    """(sum_{k<n} 1/(z+k)^2, z + n), taken over k < steps, steps >= n:
-    psi'(z) is the sum plus psi'(z + n).  n is one count for one point, or
-    one count per point of an array z; (k < n) drops the terms past each."""
+def _trigamma(z: complex) -> complex:
+    x = z.real
+    if z.imag == 0.0 and x <= 0.0 and (x.is_integer() or x == -math.inf):
+        return complex(math.inf, 0.0)      # the poles 0, -1, -2, ...
+    if x < -_ASYMPT_RE and abs(z.imag) < 50.0:
+        # Far-left strip near the cut: reflect to Re >= 1.  The sin term
+        # is computable as long as |Im| stays moderate; its argument is
+        # reduced by an even integer first (exactly), so pi*z loses no
+        # digits to a large Re z.  It has no limit at Re z = -inf.
+        if x == -math.inf:
+            return complex(math.nan, math.nan)
+        s = cmath.sin(math.pi * (z - 2.0 * round(0.5 * x)))
+        return (math.pi / s) ** 2 - _trigamma(1.0 - z)
+    # psi'(z) = sum_{k<n} 1/(z+k)^2 + psi'(z+n), n = ceil(10 - Re z), so
+    # the series is taken at Re >= 10 (|Im| >= 50 needs no shift).  A
+    # non-finite z takes the series: 0 where one part is infinite, else NaN.
     acc = 0.0
-    for k in range(steps):
-        t = 1.0 / (z + k)
-        acc = acc + t * t * (k < n)
-    return acc, z + n
+    if x < _ASYMPT_RE and abs(z.imag) < 50.0:
+        n = math.ceil(_ASYMPT_RE - x)
+        for k in range(n):
+            t = 1.0 / (z + k)
+            acc = acc + t * t
+        z = z + n
+    return acc + _trigamma_asymptotic(z)
 
 
 def trigamma(z):
-    """psi'(z) for real or complex z, one number or an ndarray.
+    """psi'(z) for real or complex z: one number, or an ndarray point by point.
 
     Accurate to ~1e-14 relative away from the poles at 0, -1, -2, ...,
     and inf at them.
     """
-    if isinstance(z, complex) and cmath.isfinite(z):
-        z = complex(z)
-        if z.imag == 0.0 and z.real <= 0.0 and z.real.is_integer():
-            return complex(math.inf, 0.0)
-        # the reflection and the shift below, on one point
-        if z.real < -_ASYMPT_RE and abs(z.imag) < 50.0:
-            s = cmath.sin(math.pi * (z - 2.0 * round(0.5 * z.real)))
-            return (math.pi / s) ** 2 - trigamma(1.0 - z)
-        acc = 0.0
-        if z.real < _ASYMPT_RE and abs(z.imag) < 50.0:
-            n = math.ceil(_ASYMPT_RE - z.real)
-            acc, z = _recurrence(z, n, n)
-        return acc + _trigamma_asymptotic(z)
-
+    if isinstance(z, complex):
+        return _trigamma(complex(z))
     z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pole = z.real <= 0.0
-    if pole.any():
-        pole &= (z.imag == 0.0) & (z.real == np.round(z.real))
-        out[pole] = complex(np.inf, 0.0)
-
-    # Far-left strip near the cut: reflect to Re >= 1.  The sin term is
-    # computable as long as |Im| stays moderate; its argument is reduced
-    # by an even integer first (exactly), so pi*z loses no digits to a
-    # large Re z.
-    refl = (z.real < -_ASYMPT_RE) & (np.abs(z.imag) < 50.0) & ~pole
-    if np.any(refl):
-        zr = z[refl]
-        s = np.sin(np.pi * (zr - 2.0 * np.round(0.5 * zr.real)))
-        out[refl] = (np.pi / s) ** 2 - trigamma(1.0 - zr)
-    work = ~(refl | pole)
-
-    # Recurrence psi'(z) = sum_{k<n} 1/(z+k)^2 + psi'(z+n), each point
-    # shifted by its own n = ceil(10 - Re z) steps so that the series is
-    # taken at Re >= 10 (|Im| >= 50 needs no shift).
-    zz = z[work]
-    acc = np.zeros_like(zz)
-    need = np.nonzero((zz.real < _ASYMPT_RE) & (np.abs(zz.imag) < 50.0))[0]
-    if need.size:
-        n = np.ceil(_ASYMPT_RE - zz[need].real)
-        acc[need], zz[need] = _recurrence(zz[need], n, int(n.max()))
-    out[work] = acc + _trigamma_asymptotic(zz)
-    return out[0] if scalar else out
+    out = np.array([_trigamma(x) for x in z.ravel().tolist()], dtype=complex)
+    return out.reshape(z.shape)[()]

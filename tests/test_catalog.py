@@ -561,18 +561,55 @@ def _fingerprint_weights():
 def test_default_rho0_matches_the_per_radius_probe():
     # the probe's two array calls (one order-2 jet on the radii, one eps
     # call on the fan's off-axis points) give the per-radius loop's radius
-    weights = {
+    weights = _benchmark_and_fingerprint_weights()
+    assert len(weights) == 16
+    for name, f in weights.items():
+        assert f.default_rho0() == _rho0_per_radius(f), name
+    f = build_positive_type(positive_type_degenerate(0.5))
+    assert f.default_rho0() == _rho0_per_radius(f) == 1e6
+
+
+def _benchmark_and_fingerprint_weights():
+    return {
         "gamma_shift(0)": gamma_shift(0.0),
         "gamma_shift(1)": gamma_shift(1.0),
         "iterated_log": iterated_log(1.0, 1.0, 1, math.e),
         "theorem3": build_theorem3(ell_power(1.0, 1.0)),
         **_fingerprint_weights(),
     }
+
+
+def test_eps_probe_is_epsilon_on_its_61_radii():
+    # the even radii come from default_rho0's order-2 jet, the odd ones
+    # from an order-1 jet: together, byte for byte, one epsilon call
+    weights = _benchmark_and_fingerprint_weights()
     assert len(weights) == 16
+    rho = np.geomspace(1.0, 1e6, 61)
+    assert np.array_equal(rho[::2], np.geomspace(1.0, 1e6, 31))
     for name, f in weights.items():
-        assert f.default_rho0() == _rho0_per_radius(f), name
-    f = build_positive_type(positive_type_degenerate(0.5))
-    assert f.default_rho0() == _rho0_per_radius(f) == 1e6
+        with np.errstate(divide="ignore", invalid="ignore"):  # eps = 0
+            want = np.real(f.epsilon(rho + 0j))
+            got = f._eps_probe
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_a_point_does_not_depend_on_its_batch():
+    # each point's fields, bit for bit, whether it comes alone, with the
+    # others, or beside a far point that needs a wider kernel grid
+    pts = np.array([10.0 + 1.0j, 3.0 - 2.0j, 0.5 + 0.5j, 150.0 + 0.1j,
+                    40.0 - 25.0j])
+    for name, f in _benchmark_and_fingerprint_weights().items():
+        for order in (0, 1, 2):
+            fields = ("val", "d1", "d2")[:order + 1]
+            whole = f.jet(pts, order)
+            for k, x in enumerate(pts):
+                for batch in ([x], [x, 1e9], [x, 1e12 - 3.0j]):
+                    j = f.jet(np.array(batch, dtype=complex), order)
+                    for field in fields:
+                        got = getattr(j, field)[0]
+                        want = getattr(whole, field)[k]
+                        assert got.tobytes() == want.tobytes(), \
+                            (name, order, field, batch)
 
 
 @pytest.mark.parametrize("kind", ["theorem3", "positive_factorial"])

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -77,8 +79,8 @@ def test_trigamma_at_poles(gamma0):
 
 
 def test_trigamma_scalar_and_array_agree():
-    # one number is worked in cmath by the same pole, reflection, shift
-    # and series rules as an array; each branch is visited
+    # an array is taken point by point through the one-number rules (pole,
+    # reflection, shift and series); each rule is visited
     z = np.array([
         0.0, -3.0, -12.0, -230.0,                       # poles: inf
         -15.5 + 0.1j, -300.2 - 49.0j, -10.5 + 3.0j,     # reflection
@@ -90,9 +92,19 @@ def test_trigamma_scalar_and_array_agree():
     for x, want in zip(z, arr):
         got = trigamma(complex(x))
         assert type(got) is complex
-        if np.isinf(want.real):
-            assert got.real == np.inf
-        else:
-            assert abs(got - want) <= 1e-15 * abs(want)
-    # a non-finite point takes the array's rules
-    assert trigamma(complex(-np.inf, 0.0)).real == np.inf
+        assert got == want
+
+
+def test_trigamma_off_the_finite_plane():
+    # the limits toward infinity: 0, inf down the negative axis, where the
+    # poles are, and NaN where there is none; without a warning, alone or
+    # in an array
+    z = [complex(np.inf, 0.0), complex(-np.inf, 0.0), complex(np.nan, 0.0),
+         complex(-np.inf, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = [trigamma(x) for x in z]
+        arr = trigamma(np.array(z))
+    for got in (one, arr):
+        assert got[0] == 0.0 and got[1] == complex(np.inf, 0.0)
+        assert all(np.isnan(x.real) and np.isnan(x.imag) for x in got[2:])

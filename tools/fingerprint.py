@@ -40,11 +40,16 @@ epsilon_limsup_estimate(), one_over_gamma0 and the audit's to_dict().
 The jet kind has 9 lines on the theorem3 weight near its sector edge,
 where its Cauchy kernel is hardest to sum: the jets of orders 0-2 at
 the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
-1e3} and theta in {3.0, 3.08, 3.12}, with payload repr of their fields.
+1e3} and theta in {3.0, 3.08, 3.12}, with payload repr of their fields;
+and 2 lines of an order-2 jet on an array, where a point must not depend
+on the others: theorem3 at [10+1j, 1e9], whose points fall on different
+kernel grids, and gamma_shift0 at [-80+50j, 3-120j, 1e5+3j, -9.7+1j],
+whose trigamma takes its series at the first three and its shift at the
+last.
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 455 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 457 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -125,6 +130,9 @@ WEIGHT_LAYER = {
 }
 EDGE_RADII = (2.0, 10.0, 1e3)       # the jet lines: theorem3 near its edge
 EDGE_THETAS = (3.0, 3.08, 3.12)
+JET_ARRAYS = (("theorem3", (10.0 + 1.0j, 1e9 + 0j)),   # order-2 jets on arrays
+              ("gamma_shift0", (-80.0 + 50.0j, 3.0 - 120.0j, 1e5 + 3.0j,
+                                -9.7 + 1.0j)))
 JET_POINTS = np.array([[0.5 + 0.5j, 3.0 - 2.0j], [20.0 + 7.0j, 150.0 + 0.1j]])
 PHI_LOG_POINTS = np.array([299.0 + 0.3j, 300.0, 400.0 + 1.0j])
 # (weight or None, argv after the verb's --spec) per command-line run
@@ -190,6 +198,12 @@ def _jets_at(f, s):
     jets = [f.jet(s, order) for order in (0, 1, 2)]
     return repr([[complex(x) for x in (j.val, j.d1, j.d2)[:j.order + 1]]
                  for j in jets])
+
+
+def _array_jet(f, s):
+    """The fields of f's order-2 jet at the array s."""
+    j = f.jet(s, 2)
+    return repr([x.tolist() for x in (j.val, j.d1, j.d2)])
 
 
 def _cli_run(argv):
@@ -277,6 +291,9 @@ def calls():
             out.append((f"jet theorem3 |s|={r:g} theta={theta:g}",
                         lambda s=r * cmath.exp(1j * theta):
                         _jets_at(weights["theorem3"], s)))
+    for name, s in JET_ARRAYS:
+        out.append((f"jet {name} array={list(s)}",
+                    lambda f=weights[name], s=np.array(s): _array_jet(f, s)))
     for name, argv in CLI_RUNS:
         spec = () if name is None else ("--spec", json.dumps(WEIGHTS[name]))
         out.append((f"cli {name or '-'} {' '.join(argv)}",
