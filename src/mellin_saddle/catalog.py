@@ -52,15 +52,13 @@ _K_DELTA = 0.1   # K's form, the saddle chord and the (C) fans: alpha0 - 0.1
 # (Phi, dPhi/dw) would converge only linearly; the cut keeps a margin.
 _JET_LOG_RADIUS = 300.0
 
-# terms per block of a Cauchy sum: 256 KB temporaries, reused call to call
-# (at 2^15 malloc returned them each call: page faults, twice the time)
-_CAUCHY_BLOCK = 2 ** 14
 # Gauss-Legendre rules, 0.4 ms each: made on first use (it starts up LAPACK)
 _gauss_rule = cache(np.polynomial.legendre.leggauss)
 # theorem3's Cauchy-kernel contours leave the real axis along e^{+-i pi/4}
 _RAY = cmath.exp(0.25j * math.pi)
-# on grids that cover |s| up to 1e8, 1e9, ... (products of 10), then inf
-_COVERS = np.append(np.cumprod([1e8] + [10.0] * 300), math.inf)
+# on grids that cover |s| up to 1e8, 1e9, ... (products of 10), 1e154;
+# past that the jets' s^2 overflows (inf marks it, and NaN sorts after)
+_COVERS = np.append(np.cumprod([1e8] + [10.0] * 145), [1e154, math.inf])
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
 # (1, e, e^e, ...); used to place the domain edge of iterated-log weights.
@@ -502,43 +500,21 @@ _ELL_PRESETS = {
 }
 
 
-def _cauchy_sums(s, u, w, count):
-    """[sum_j w_j (s + u_j)^{-m} for m = 1..count] at the flat complex
-    points s, in blocks of whole rows of about _CAUCHY_BLOCK terms, so a
-    point's sums do not depend on its block: one reciprocal of (s + u) per
-    block, in place, then a product per power, the first one in place as
-    well when no higher power needs the reciprocal.  The nodes u and
-    weights w come as complex arrays, so that no call casts them."""
-    chunk = max(1, _CAUCHY_BLOCK // max(u.size, 1))
-    if s.size > chunk:
-        blocks = [_cauchy_sums(s[k:k + chunk], u, w, count)
-                  for k in range(0, s.size, chunk)]
-        return [np.concatenate(sums) for sums in zip(*blocks)]
-    d = s[:, None] + u
-    np.reciprocal(d, out=d)
-    r = np.multiply(w, d, out=d if count == 1 else None)
-    sums = [r.sum(axis=1)]
-    for _ in range(1, count):
-        r *= d
-        sums.append(r.sum(axis=1))
-    return sums
-
-
 def _cauchy_jet(s, q, i, order, ab=None):
-    """Jet of log gamma = (A + B s +) q^2 I1 at s, from the flat Cauchy
-    sums i = [I1, .., I_{order+1}] of the kernel 1/(s+u); ab = (A, B) is
-    added only when given, so q^2 I1 alone rounds as written.  One number
-    s gets Python complex fields."""
-    i = ([arr.item() for arr in i] if isinstance(s, complex)
-         else [arr.reshape(s.shape) for arr in i])
+    """Jet of log gamma = (A + B s +) q^2 I1 at s, from the Cauchy sums
+    i = [I1, .., I_{order+1}] of the kernel 1/(s+u), an (s.size, order+1)
+    array; ab = (A, B) is added only when given, so q^2 I1 alone rounds
+    as written.  One number s gets Python complex fields."""
+    i = i[0].tolist() if isinstance(s, complex) else [x.reshape(s.shape) for x in i.T]
     val = q * q * i[0]
     if ab is not None:
         val = ab[0] + ab[1] * s + val
     if order < 1:
         return Jet2(val)
     d1 = 2.0 * q * i[0] if ab is None else ab[1] + 2.0 * q * i[0]
+    # 2 (q^2 I3), not (2 q) q I3: the same bits, and no overflow at |s| = 1e154
     return Jet2(val, d1 - q * q * i[1],
-                2.0 * i[0] - 4.0 * q * i[1] + 2.0 * q * q * i[2]
+                2.0 * i[0] - 4.0 * q * i[1] + 2.0 * (q * q * i[2])
                 if order >= 2 else None)
 
 
@@ -552,65 +528,78 @@ def _gauss_panels(edges):
             (half[:, None] * w[None, :]).ravel())
 
 
+def _theorem3_rays(ell, cover):
+    """build_theorem3's kernel nodes u and weights w on the rays above and
+    below the real axis, complex (2, nodes) arrays, and the radii of their
+    panels, for the cover _COVERS[cover]."""
+    v_max = math.log(_COVERS[cover] / ell.c) + 45.0
+    edges = np.linspace(0.0, v_max, max(8, int(math.ceil(v_max / 0.5))) + 1)
+    v, wv = _gauss_panels(edges)
+    ray = ell.c * np.array([[_RAY], [_RAY.conjugate()]])
+    u = ell.c + np.expm1(v) * ray
+    g = np.asarray(ell.dlog_ell(u), dtype=complex)
+    return (u, wv * g * np.exp(v) * ray,            # du = e^v ray dv
+            abs(ell.c + np.expm1(edges) * ray[0]))
+
+
 def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
     """Weight with prescribed scale: log gamma(s) = s^2 int_c^inf
     (log ell)'(u) / (s+u) du, derivatives taken under the integral.
 
     The integrals int f(u) (u+s)^{-m} du, m = 1..3, are sums over fixed
-    grids on the ray u = c + c (e^v - 1) e^{i phi}, phi = pi/4 for
-    Im s >= 0 and -pi/4 below, with (log ell)'(u) du/dv folded into the
-    weights.  The ray turns away from the pole u = -s, so by Cauchy's
-    theorem it gives the real-axis integral where (log ell)' is analytic
-    between the two (SlowlyVaryingEll; Gil, Segura and Temme, Numerical
-    Methods for Special Functions, 2007, ch. 5), and the sums keep full
-    precision up to the sector edge, where the pole nears the real axis.
-    The side changes at theta = +-pi: the jet does not continue log gamma
-    across the negative axis.
+    grids on the ray u = c + c (e^v - 1) e^{i phi}, phi = pi/4 where the
+    sign bit of Im s is clear (and at s = 0) and -pi/4 where it is set,
+    with (log ell)'(u) du/dv folded into the weights.  The ray turns away
+    from the pole u = -s, so by Cauchy's theorem it gives the real-axis
+    integral where (log ell)' is analytic between the two (SlowlyVaryingEll;
+    Gil, Segura and Temme, Numerical Methods for Special Functions, 2007,
+    ch. 5), and the sums keep full precision up to the sector edge, where
+    the pole nears the real axis.  The side changes at theta = +-pi: the
+    jet does not continue log gamma across the negative axis.
 
-    Each point takes the grid of its own side (the sign of Im s) and
-    cover: the least power of ten, 1e8 at the smallest, at or above its
-    |s|.  A call sums each (cover, side) group of its points on that
-    grid, built once, so no value depends on earlier calls or on the
-    other points of a call.  In v a grid runs 45 past log(s_cover/c), on
-    15-point Gauss panels 0.5 long.
+    Each point takes the grid of its own side and cover: the least power
+    of ten, 1e8 at the smallest, at or above its |s|.  In v a grid runs
+    45 past log(s_cover/c), on 15-point Gauss panels 0.5 long, whose radii
+    grow by e^0.5: a point sums 7 panels directly and the rest through
+    Taylor tables (cauchy._split_grid).  Both sides of a cover are one
+    split grid, built on first use, so no value depends on earlier calls
+    or on the other points of a call.  A NaN point gets NaN fields; one
+    past |s| = 1e154, where s^2 overflows, raises SpecError.
     """
-    grids = {}      # (cover index, Im s >= 0) -> (nodes u, weights), complex
-
-    def sums(s, cover, up, count):
-        if (cover, up) not in grids:
-            v_max = math.log(_COVERS[cover] / ell.c) + 45.0
-            n_panels = max(8, int(math.ceil(v_max / 0.5)))
-            v, wv = _gauss_panels(np.linspace(0.0, v_max, n_panels + 1))
-            ray = ell.c * (_RAY if up else _RAY.conjugate())
-            u = ell.c + np.expm1(v) * ray
-            g = np.asarray(ell.dlog_ell(u), dtype=complex)
-            grids[cover, up] = (u, wv * g * np.exp(v) * ray)  # du = e^v ray dv
-        return _cauchy_sums(s, *grids[cover, up], count)
-
-    # the two grids agree on the real axis, to rounding, exactly when
+    from . import cauchy    # loaded by the kernel weights alone
+    # the two rays' sums at s = c agree, to rounding, exactly when
     # (log ell)' is analytic between them
-    x = np.array([complex(ell.c)])
-    up, down = (sums(x, 0, side, 1)[0][0] for side in (True, False))
+    u, w, radii = _theorem3_rays(ell, 0)
+    up, down = (w * np.reciprocal(ell.c + u)).sum(axis=1)
     if not abs(up - down) <= 1e-12 * abs(up):
         raise BuildError(
             f"{ell.label}: (log ell)' is not analytic between the rays "
             f"c + t e^(+-i pi/4): their Cauchy sums at s = {ell.c:g} differ "
             f"by {abs(up - down):.3g}")
+    grids = {0: cauchy._split_grid(u, w, radii)}    # cover -> both rays' grid
+
+    def sums(s, a, cover, count):
+        if cover >= _COVERS.size - 1:       # past the last cover, or NaN
+            if cover == _COVERS.size:
+                return np.full((s.size, count), complex(math.nan, math.nan))
+            raise SpecError(f"{ell.label}: theorem3's jet needs |s| <= "
+                            f"{_COVERS[-2]:g}, got |s| = {np.max(a):.6g}")
+        if cover not in grids:
+            grids[cover] = cauchy._split_grid(*_theorem3_rays(ell, cover))
+        return cauchy._cauchy_sums(s, np.copysign(a, s.imag), grids[cover],
+                                   count)
 
     def jet_fn(s, order):
         flat = np.ravel(s)
-        # each point's grid; fmax takes a NaN |s| to the first cover
-        cover = _COVERS.searchsorted(np.fmax(abs(flat), 0.0))
-        up = flat.imag >= 0.0
-        grid_of = set(zip(cover.tolist(), up.tolist()))
-        if len(grid_of) == 1:
-            i = sums(flat, *grid_of.pop(), order + 1)
+        a = abs(flat)
+        cover = _COVERS.searchsorted(a)
+        if cover.size > 1 and cover.min() < cover.max():
+            i = np.empty((flat.size, order + 1), complex)
+            for c in np.unique(cover).tolist():
+                part = cover == c
+                i[part] = sums(flat[part], a[part], c, order + 1)
         else:
-            i = [np.empty_like(flat) for _ in range(order + 1)]
-            for c, side in grid_of:
-                part = (cover == c) & (up == side)
-                for out, x in zip(i, sums(flat[part], c, side, order + 1)):
-                    out[part] = x
+            i = sums(flat, a, int(cover[0]) if cover.size else 0, order + 1)
         return _cauchy_jet(s, s, i, order)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,
@@ -695,7 +684,9 @@ def _tail_closed_forms(s, cut, k1, k2, saw, count):
 
 
 def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
-    u, w = _gauss_panels(_positive_type_edges(spec))
+    from . import cauchy
+    edges = _positive_type_edges(spec)
+    u, w = _gauss_panels(edges)
     m = np.asarray(spec.measure_density(u), dtype=float)
     if np.any(m < -1e-12):
         bad = u[int(np.argmin(m))]
@@ -709,14 +700,13 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
 
     cut, k1, k2, saw = spec.support_cut, spec.tail_kappa1, spec.tail_kappa2, spec.tail_sawtooth
     a0, A, B = spec.a, spec.A, spec.B
-    uc, wc = u + 0j, wts + 0j
+    grid = cauchy._split_grid(u[None] + 0j, wts[None] + 0j, edges)
 
     def jet_fn(s, order):
         flat = np.ravel(s)
-        i = _cauchy_sums(flat, uc, wc, order + 1)
+        i = cauchy._cauchy_sums(flat, abs(flat), grid, order + 1)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
-            tails = _tail_closed_forms(flat, cut, k1, k2, saw, order + 1)
-            i = [im + tm for im, tm in zip(i, tails)]
+            i += np.stack(_tail_closed_forms(flat, cut, k1, k2, saw, order + 1), -1)
         return _cauchy_jet(s, s - a0, i, order, (A, B))
 
     pos = np.nonzero(m > 0)[0]      # c_gamma: the least node the measure charges

@@ -508,15 +508,15 @@ def test_value_only_log_gamma_skips_polygamma(monkeypatch):
 
 
 def test_kernel_jet_takes_one_cauchy_sum_per_order(monkeypatch, theorem3_power):
-    import mellin_saddle.catalog as catalog
+    import mellin_saddle.cauchy as cauchy
 
     counts = []
 
-    def spy(s, u, w, count, fn=catalog._cauchy_sums):
+    def spy(s, key, grid, count, fn=cauchy._cauchy_sums):
         counts.append(count)
-        return fn(s, u, w, count)
+        return fn(s, key, grid, count)
 
-    monkeypatch.setattr(catalog, "_cauchy_sums", spy)
+    monkeypatch.setattr(cauchy, "_cauchy_sums", spy)
     theorem3_power.log_gamma(np.array([2.0 + 0j, 5.0 + 1j]))
     theorem3_power.epsilon(7.0 + 0j)
     theorem3_power.d2log_gamma(7.0 + 0j)
@@ -617,21 +617,22 @@ def test_cauchy_blocks_do_not_change_a_field(monkeypatch, theorem3_power,
                                              factorial_measure, kind):
     # one batch over several blocks of the Cauchy sums gives, bit for bit,
     # the fields of the same points passed a few at a time
-    import mellin_saddle.catalog as catalog
+    import mellin_saddle.cauchy as cauchy
 
     f = theorem3_power if kind == "theorem3" else factorial_measure
-    nodes = []
+    blocks = []
 
-    def spy(s, u, w, count, fn=catalog._cauchy_sums):
-        nodes.append(u.size)
-        return fn(s, u, w, count)
+    def spy(s, key, grid, count, fn=cauchy._cauchy_sums):
+        blocks.append(max(1, cauchy._CAUCHY_BLOCK // (count * grid.width)))
+        return fn(s, key, grid, count)
 
-    monkeypatch.setattr(catalog, "_cauchy_sums", spy)
+    monkeypatch.setattr(cauchy, "_cauchy_sums", spy)
     rng = np.random.default_rng(5)
-    pts = np.exp(rng.uniform(-1.0, 9.0, 90) + 1j * rng.uniform(-3.0, 3.0, 90))
+    pts = np.exp(rng.uniform(-1.0, 9.0, 400) + 1j * rng.uniform(-3.0, 3.0, 400))
     for order in (0, 1, 2):
+        blocks.clear()
         whole = f.jet(pts, order)
-        assert pts.size >= 3 * (catalog._CAUCHY_BLOCK // nodes[0]) + 1
+        assert pts.size >= 3 * blocks[0] + 1
         parts = [f.jet(pts[k:k + 2], order) for k in range(0, pts.size, 2)]
         for field in ("val", "d1", "d2")[:order + 1]:
             got = np.concatenate([getattr(p, field) for p in parts])
@@ -707,3 +708,115 @@ def test_theorem3_kernel_matches_closed_form(theorem3_power, radius):
             w = getattr(want, field)[k]
             assert abs(getattr(one, field) - w) <= 1e-13 * abs(w)
             assert abs(getattr(arr, field)[k] - w) <= 1e-13 * abs(w)
+
+
+# ---------------------------------------------------------------------------
+# the split Cauchy sums against the all-nodes sum
+# ---------------------------------------------------------------------------
+
+def _direct_cauchy_sums(s, u, w, count):
+    """The all-nodes sum the split replaced: [sum_j w_j (s + u_j)^{-m}],
+    m = 1..count, one reciprocal of s + u per point and a product per
+    power, with sum_j |w_j| |s + u_j|^{-m} beside it."""
+    d = np.reciprocal(s[:, None] + u)
+    r, size = w * d, np.abs(w * d)
+    sums, sizes = [r.sum(axis=1)], [size.sum(axis=1)]
+    for _ in range(1, count):
+        r, size = r * d, size * np.abs(d)
+        sums.append(r.sum(axis=1))
+        sizes.append(size.sum(axis=1))
+    return np.stack(sums, -1), np.stack(sizes, -1)
+
+
+def _split_test_points(limits, alpha0):
+    # 2,000 seeded points, |s| in [1e-3, 1e12] and |theta| <= alpha0 - 0.02
+    # on both sides, then s = 0, 1e-38, |s| = 4 R_b and one ulp either side
+    # at a few panels b, and the first cover's edge 1e8 (1 +- 2^-52)
+    rng = np.random.default_rng(26)
+    radius = np.exp(rng.uniform(math.log(1e-3), math.log(1e12), 2000))
+    theta = rng.uniform(-(alpha0 - 0.02), alpha0 - 0.02, 2000)
+    limits = limits[limits > 0]
+    seams = limits[np.unique(np.minimum([0, 1, 4, 9, -1], limits.size - 1))]
+    seams = np.concatenate([seams, np.nextafter(seams, 0.0),
+                            np.nextafter(seams, math.inf), [0.0, 1e-38],
+                            1e8 * (1.0 + np.array([-2.0, 2.0]) ** -52)])
+    return np.concatenate([radius * np.exp(1j * theta),
+                           seams * np.exp(0.7j), seams * np.exp(-2.1j)])
+
+
+def _assert_split_matches_direct(s, u, w, radii):
+    from mellin_saddle.cauchy import _cauchy_sums, _split_grid
+
+    grid = _split_grid(u, w, radii)
+    lower = np.signbit(s.imag) if u.shape[0] == 2 else np.zeros(s.size, bool)
+    key = np.where(lower, -abs(s), abs(s))
+    got = _cauchy_sums(s, key, grid, 3)
+    for side in range(u.shape[0]):
+        pick = lower == bool(side)
+        want, size = _direct_cauchy_sums(s[pick], u[side], w[side], 3)
+        # 4 eps at m = 1, 2 (3.6 the most seen) and 6 eps at m = 3 (5.0):
+        # there the leading near term tau^3 carries three times tau's
+        # rounding, and the all-nodes sum's d^3 three times that of d
+        bound = np.array([4.0, 4.0, 6.0]) * np.finfo(float).eps * size
+        assert np.all(np.abs(got[pick] - want) <= bound), \
+            np.max(np.abs(got[pick] - want) / size, axis=0) / np.finfo(float).eps
+
+
+@pytest.mark.parametrize("ell", [ell_power(1.0, 1.0), ell_exp_sqrt_log(1.0)],
+                         ids=["power", "exp_sqrt_log"])
+def test_split_cauchy_sums_match_the_direct_sum_on_theorem3(ell):
+    # every power m = 1..3 within a few eps of sum |w| |s + u|^-m of the
+    # all-nodes sum, on each point's own kernel grid
+    from mellin_saddle.catalog import _COVERS, _theorem3_rays
+
+    u0, w0, radii0 = _theorem3_rays(ell, 0)
+    s = _split_test_points(4.0 * radii0, math.pi)
+    cover = _COVERS.searchsorted(abs(s))
+    for c in np.unique(cover):
+        _assert_split_matches_direct(s[cover == c], *_theorem3_rays(ell, c))
+
+
+@pytest.mark.parametrize("spec", [positive_type_factorial(),
+                                  positive_type_iterated_log(),
+                                  positive_type_degenerate(0.5)],
+                         ids=["factorial", "iterated_log_jump", "degenerate"])
+def test_split_cauchy_sums_match_the_direct_sum_on_positive_type(spec):
+    from mellin_saddle.catalog import _gauss_panels, _positive_type_edges
+
+    edges = _positive_type_edges(spec)
+    u, w = _gauss_panels(edges)
+    w = w * np.maximum(spec.measure_density(u), 0.0)
+    s = _split_test_points(4.0 * edges, math.pi)
+    _assert_split_matches_direct(s, u[None] + 0j, w[None] + 0j, edges)
+
+
+def test_theorem3_jet_refuses_past_its_last_cover():
+    # |s| = inf or past 1e154, where s^2 overflows, raises SpecError naming
+    # |s| and the bound; a NaN point keeps NaN fields beside a finite one,
+    # which keeps its own bits; no call warns
+    from mellin_saddle import SpecError
+
+    f = build_theorem3(ell_power(1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e300 + 0j, complex(math.inf, 0.0), 1e200 - 3j,
+                  np.array([2.0 + 0j, 1e155j])):
+            with pytest.raises(SpecError, match=r"\|s\| <= 1e\+154, got \|s\|"):
+                f.jet(s)
+        edge = f.jet(1e154 + 0j)
+        assert all(np.isfinite(x) for x in (edge.val, edge.d1, edge.d2))
+        alone = f.jet(np.array([3.0 + 1.0j]))
+        both = f.jet(np.array([complex(math.nan, 0.0), 3.0 + 1.0j]))
+        one = f.jet(complex(math.nan, math.nan))
+        for field in ("val", "d1", "d2"):
+            assert np.isnan(getattr(both, field)[0])
+            assert np.isnan(getattr(one, field))
+            assert getattr(both, field)[1:].tobytes() == \
+                getattr(alone, field).tobytes()
+
+
+def test_kernel_jets_take_an_empty_batch(theorem3_power, factorial_measure):
+    # no point, no row of terms: every field comes back with shape (0,)
+    for f in (theorem3_power, factorial_measure):
+        j = f.jet(np.array([], dtype=complex), 2)
+        assert all(getattr(j, k).shape == (0,) for k in ("val", "d1", "d2"))

@@ -41,15 +41,19 @@ The jet kind has 9 lines on the theorem3 weight near its sector edge,
 where its Cauchy kernel is hardest to sum: the jets of orders 0-2 at
 the one point s = |s| e^{i theta} (a Python complex), |s| in {2, 10,
 1e3} and theta in {3.0, 3.08, 3.12}, with payload repr of their fields;
-and 2 lines of an order-2 jet on an array, where a point must not depend
+and 4 lines of an order-2 jet on an array, where a point must not depend
 on the others: theorem3 at [10+1j, 1e9], whose points fall on different
-kernel grids, and gamma_shift0 at [-80+50j, 3-120j, 1e5+3j, -9.7+1j],
+kernel grids; gamma_shift0 at [-80+50j, 3-120j, 1e5+3j, -9.7+1j],
 whose trigamma takes its series at the first three and its shift at the
-last.
+last; theorem3 at the seams of its split Cauchy sums, [0, 1e-30, 4 R_1,
+4 R_5 e^i, 4 R_40 e^{-2.5i}, 1e8, 1e8 (1 + 2^-52)] with R_b its first
+grid's panel radii, where a point's band of panels starts or its kernel
+grid changes; and the positive-type factorial preset at [0.3+0.1j,
+17+4j, 390-20j], whose unit panels it sums nearly all directly.
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 457 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 459 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -132,7 +136,14 @@ EDGE_RADII = (2.0, 10.0, 1e3)       # the jet lines: theorem3 near its edge
 EDGE_THETAS = (3.0, 3.08, 3.12)
 JET_ARRAYS = (("theorem3", (10.0 + 1.0j, 1e9 + 0j)),   # order-2 jets on arrays
               ("gamma_shift0", (-80.0 + 50.0j, 3.0 - 120.0j, 1e5 + 3.0j,
-                                -9.7 + 1.0j)))
+                                -9.7 + 1.0j)),
+              # the seams of theorem3's split sums: s = 0, 4 R_b of its first
+              # kernel grid for b = 1, 5, 40, and the first cover's edge
+              ("theorem3", (0j, 1e-30, 6.112910104896629,
+                            47.49076781565864 * cmath.exp(1j),
+                            1892778926.5582435 * cmath.exp(-2.5j), 1e8,
+                            1e8 * (1 + 2 ** -52))),
+              ("positive_factorial", (0.3 + 0.1j, 17.0 + 4.0j, 390.0 - 20.0j)))
 JET_POINTS = np.array([[0.5 + 0.5j, 3.0 - 2.0j], [20.0 + 7.0j, 150.0 + 0.1j]])
 PHI_LOG_POINTS = np.array([299.0 + 0.3j, 300.0, 400.0 + 1.0j])
 # (weight or None, argv after the verb's --spec) per command-line run
@@ -292,8 +303,10 @@ def calls():
                         lambda s=r * cmath.exp(1j * theta):
                         _jets_at(weights["theorem3"], s)))
     for name, s in JET_ARRAYS:
+        make = (lambda f=weights[name]: f) if name in weights else \
+            (lambda make=WEIGHT_LAYER[name]: make(ms))
         out.append((f"jet {name} array={list(s)}",
-                    lambda f=weights[name], s=np.array(s): _array_jet(f, s)))
+                    lambda make=make, s=np.array(s): _array_jet(make(), s)))
     for name, argv in CLI_RUNS:
         spec = () if name is None else ("--spec", json.dumps(WEIGHTS[name]))
         out.append((f"cli {name or '-'} {' '.join(argv)}",
