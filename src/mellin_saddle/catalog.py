@@ -35,7 +35,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -54,10 +54,10 @@ _JET_LOG_RADIUS = 300.0
 
 # Gauss-Legendre rules, 0.4 ms each: made on first use (it starts up LAPACK)
 _gauss_rule = cache(np.polynomial.legendre.leggauss)
-# theorem3's Cauchy-kernel contours leave the real axis along e^{+-i pi/4}
+# theorem3's Cauchy-kernel contour leaves the real axis along e^{i pi/4}
 _RAY = cmath.exp(0.25j * math.pi)
 # on grids that cover |s| up to 1e8, 1e9, ... (products of 10), 1e154;
-# past that the jets' s^2 overflows (inf marks it, and NaN sorts after)
+# past that the kernel jets' s^2 overflows (inf marks it, and NaN sorts after)
 _COVERS = np.append(np.cumprod([1e8] + [10.0] * 145), [1e154, math.inf])
 
 # iterated-log zero ladder: log_k(x) = 0 at x = _logk_unit(k)
@@ -443,11 +443,12 @@ class SlowlyVaryingEll:
     """An unboundedly increasing C^1 scale ell given through log ell and
     (log ell)'; c is the lower limit of the construction integral.
 
-    dlog_ell takes complex u as well and must be analytic on the two rays
-    u = c + t e^{+-i pi/4}, t >= 0, and between them and the real axis:
-    build_theorem3 integrates along those rays.  The constructor probes
-    both, at the real probe's radii, for finite values; build_theorem3
-    refuses an ell whose two rays disagree on the real axis."""
+    dlog_ell takes complex u as well and must be analytic on the rays
+    u = c + t e^{+-i pi/4}, t >= 0, and between them, and real on the
+    real axis: build_theorem3 sums the upper ray, and the lower one by
+    Schwarz reflection.  The constructor probes both rays, at the real
+    probe's radii, for finite values; build_theorem3 refuses an ell whose
+    ray sum at s = c is not real."""
 
     log_ell: Callable[[np.ndarray], np.ndarray]
     dlog_ell: Callable[[np.ndarray], np.ndarray]
@@ -528,18 +529,37 @@ def _gauss_panels(edges):
             (half[:, None] * w[None, :]).ravel())
 
 
-def _theorem3_rays(ell, cover):
-    """build_theorem3's kernel nodes u and weights w on the rays above and
-    below the real axis, complex (2, nodes) arrays, and the radii of their
-    panels, for the cover _COVERS[cover]."""
+def _kernel_sums(label, covers, sums_at, s, count):
+    """[I1 .. I_count] at the flat points s, by sums_at(s, |s|, k, count)
+    on the points whose least cover at or above |s| is covers[k]: NaN at
+    NaN, SpecError past covers[-2] = 1e154, where the jets' s^2 overflows."""
+    a = abs(s)
+    cover = covers.searchsorted(a)
+    if cover.size > 1 and cover.min() < cover.max():
+        i = np.empty((s.size, count), complex)
+        for k in np.unique(cover).tolist():
+            i[cover == k] = _kernel_sums(label, covers, sums_at, s[cover == k], count)
+        return i
+    k = int(cover[0]) if cover.size else 0
+    if k == covers.size:                # NaN sorts past inf
+        return np.full((s.size, count), complex(math.nan, math.nan))
+    if k == covers.size - 1:
+        raise SpecError(f"{label}: a kernel weight's jet needs |s| <= "
+                        f"{covers[-2]:g}, got |s| = {np.max(a):.6g}")
+    return sums_at(s, a, k, count)
+
+
+def _theorem3_ray(ell, cover):
+    """build_theorem3's kernel nodes u and weights w on the ray above the
+    real axis, and the radii of their panels, for the cover _COVERS[cover]."""
     v_max = math.log(_COVERS[cover] / ell.c) + 45.0
     edges = np.linspace(0.0, v_max, max(8, int(math.ceil(v_max / 0.5))) + 1)
     v, wv = _gauss_panels(edges)
-    ray = ell.c * np.array([[_RAY], [_RAY.conjugate()]])
+    ray = ell.c * _RAY
     u = ell.c + np.expm1(v) * ray
     g = np.asarray(ell.dlog_ell(u), dtype=complex)
     return (u, wv * g * np.exp(v) * ray,            # du = e^v ray dv
-            abs(ell.c + np.expm1(edges) * ray[0]))
+            abs(ell.c + np.expm1(edges) * ray))
 
 
 def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
@@ -547,60 +567,55 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
     (log ell)'(u) / (s+u) du, derivatives taken under the integral.
 
     The integrals int f(u) (u+s)^{-m} du, m = 1..3, are sums over fixed
-    grids on the ray u = c + c (e^v - 1) e^{i phi}, phi = pi/4 where the
-    sign bit of Im s is clear (and at s = 0) and -pi/4 where it is set,
-    with (log ell)'(u) du/dv folded into the weights.  The ray turns away
-    from the pole u = -s, so by Cauchy's theorem it gives the real-axis
-    integral where (log ell)' is analytic between the two (SlowlyVaryingEll;
-    Gil, Segura and Temme, Numerical Methods for Special Functions, 2007,
-    ch. 5), and the sums keep full precision up to the sector edge, where
-    the pole nears the real axis.  The side changes at theta = +-pi: the
-    jet does not continue log gamma across the negative axis.
+    grids on the ray u = c + c (e^v - 1) e^{i pi/4}, with (log ell)'(u)
+    du/dv folded into the weights.  The ray turns away from the pole
+    u = -s of a point above the real axis (and of s = 0), so by Cauchy's
+    theorem it gives the real-axis integral where (log ell)' is analytic
+    between the two (SlowlyVaryingEll; Gil, Segura and Temme, Numerical
+    Methods for Special Functions, 2007, ch. 5), and the sums keep full
+    precision up to the sector edge, where the pole nears the real axis.
+    (log ell)' is real on the axis, so a point whose Im s has its sign
+    bit set (x - 0j too) takes the conjugate of the sums at conj(s)
+    (Schwarz reflection).  The jet does not continue log gamma across
+    the negative axis.
 
-    Each point takes the grid of its own side and cover: the least power
-    of ten, 1e8 at the smallest, at or above its |s|.  In v a grid runs
-    45 past log(s_cover/c), on 15-point Gauss panels 0.5 long, whose radii
-    grow by e^0.5: a point sums 7 panels directly and the rest through
-    Taylor tables (cauchy._split_grid).  Both sides of a cover are one
-    split grid, built on first use, so no value depends on earlier calls
-    or on the other points of a call.  A NaN point gets NaN fields; one
-    past |s| = 1e154, where s^2 overflows, raises SpecError.
+    Each point takes the grid of its own cover: the least power of ten,
+    1e8 at the smallest, at or above its |s|.  In v a grid runs 45 past
+    log(s_cover/c), on 15-point Gauss panels 0.5 long, whose radii grow
+    by e^0.5: a point sums 7 panels directly and the rest through Taylor
+    tables (cauchy._split_grid), built on first use, so no value depends
+    on earlier calls or on the other points of a call.  A NaN point gets
+    NaN fields; one past |s| = 1e154, where s^2 overflows, SpecError.
     """
     from . import cauchy    # loaded by the kernel weights alone
-    # the two rays' sums at s = c agree, to rounding, exactly when
-    # (log ell)' is analytic between them
-    u, w, radii = _theorem3_rays(ell, 0)
-    up, down = (w * np.reciprocal(ell.c + u)).sum(axis=1)
-    if not abs(up - down) <= 1e-12 * abs(up):
-        raise BuildError(
-            f"{ell.label}: (log ell)' is not analytic between the rays "
-            f"c + t e^(+-i pi/4): their Cauchy sums at s = {ell.c:g} differ "
-            f"by {abs(up - down):.3g}")
-    grids = {0: cauchy._split_grid(u, w, radii)}    # cover -> both rays' grid
+    # the sum at s = c is real, to rounding, exactly when (log ell)' is
+    # analytic between the ray and the axis and real on it
+    u, w, radii = _theorem3_ray(ell, 0)
+    up = (w * np.reciprocal(ell.c + u)).sum()
+    if not 2.0 * abs(up.imag) <= 1e-12 * abs(up):
+        raise BuildError(f"{ell.label}: (log ell)' is not analytic between the "
+                         f"rays c + t e^(+-i pi/4), or not real on the axis: "
+                         f"their sums at s = {ell.c:g} differ by {2 * abs(up.imag):.3g}")
+    grids = {0: cauchy._split_grid(u, w, radii)}    # cover -> its ray's grid
 
-    def sums(s, a, cover, count):
-        if cover >= _COVERS.size - 1:       # past the last cover, or NaN
-            if cover == _COVERS.size:
-                return np.full((s.size, count), complex(math.nan, math.nan))
-            raise SpecError(f"{ell.label}: theorem3's jet needs |s| <= "
-                            f"{_COVERS[-2]:g}, got |s| = {np.max(a):.6g}")
+    def sums_at(s, a, cover, count):
         if cover not in grids:
-            grids[cover] = cauchy._split_grid(*_theorem3_rays(ell, cover))
-        return cauchy._cauchy_sums(s, np.copysign(a, s.imag), grids[cover],
-                                   count)
+            grids[cover] = cauchy._split_grid(*_theorem3_ray(ell, cover))
+        return cauchy._cauchy_sums(s, a, grids[cover], count)
+
+    sums = partial(_kernel_sums, ell.label, _COVERS, sums_at)
 
     def jet_fn(s, order):
+        # below the real axis, the conjugate of the sums at conj(s)
+        if isinstance(s, complex):      # one point flips in Python
+            lower = math.copysign(1.0, s.imag) < 0.0
+            i = sums(np.array([s.conjugate() if lower else s]), order + 1)
+            return _cauchy_jet(s, s, i.conj() if lower else i, order)
         flat = np.ravel(s)
-        a = abs(flat)
-        cover = _COVERS.searchsorted(a)
-        if cover.size > 1 and cover.min() < cover.max():
-            i = np.empty((flat.size, order + 1), complex)
-            for c in np.unique(cover).tolist():
-                part = cover == c
-                i[part] = sums(flat[part], a[part], c, order + 1)
-        else:
-            i = sums(flat, a, int(cover[0]) if cover.size else 0, order + 1)
-        return _cauchy_jet(s, s, i, order)
+        lower = np.signbit(flat.imag)
+        i = sums(np.where(lower, flat.conjugate(), flat), order + 1)
+        return _cauchy_jet(s, s, np.conjugate(i, out=i, where=lower[:, None]),
+                           order)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,
                               ell.c, math.pi)
@@ -657,11 +672,17 @@ def _positive_type_edges(spec: PositiveTypeSpec):
 
 def _tail_closed_forms(s, cut, k1, k2, saw, count):
     """Closed-form tails [T1, .., T_count] of I1, I2, I3 for
-    m ~ k1/u + k2/u^2 + saw*(frac-1/2)/u^2."""
-    # in powers of t = 1/s, which underflow where powers of s overflow
-    lc = np.log1p(s / cut)
-    d = 1.0 / (s + cut)
-    t = 1.0 / s
+    m ~ k1/u + k2/u^2 + saw*(frac-1/2)/u^2.  Where |s| < 1e-6 cut (and at
+    NaN) the k1, k2 forms cancel, or divide by 0, and three terms of the
+    series int_cut^inf u^-p (u+s)^-m du = cut^(1-p-m) sum_k C(k+m-1, k)
+    (-s/cut)^k / (p+m+k-1) replace them."""
+    small = ~(abs(s) >= 1e-6 * cut)
+    near = small.any()
+    z = np.where(small, cut, s) if near else s
+    # in powers of t = 1/z, which underflow where powers of z overflow
+    lc = np.log1p(z / cut)
+    d = 1.0 / (z + cut)
+    t = 1.0 / z
     g = lc * t
     h = t / cut - lc * t ** 2
     tails = [k1 * g + k2 * h]
@@ -673,6 +694,13 @@ def _tail_closed_forms(s, cut, k1, k2, saw, count):
         gpp = -d * d * t - 2.0 * d * t ** 2 + 2.0 * lc * t ** 3
         hpp = 2.0 * t ** 3 / cut + d * d * t ** 2 + 4.0 * d * t ** 3 - 6.0 * lc * t ** 4
         tails.append(0.5 * (k1 * gpp + k2 * hpp))
+    if near:
+        x = s[small] / cut
+        for m in range(1, count + 1):
+            c = [(-1) ** k * math.comb(k + m - 1, k) * (k1 * cut ** -m / (m + k)
+                 + k2 * cut ** (-1 - m) / (m + k + 1)) for k in range(3)]
+            tails[m - 1][small] = c[0] + x * (c[1] + x * c[2])
+        d[small] = (1.0 - x) / cut
     if saw != 0.0:
         # Euler-Maclaurin leading term -(1/12) u^{-2} (u+s)^{-m} at u = cut,
         # one copy per kernel power m
@@ -700,11 +728,14 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
 
     cut, k1, k2, saw = spec.support_cut, spec.tail_kappa1, spec.tail_kappa2, spec.tail_sawtooth
     a0, A, B = spec.a, spec.A, spec.B
-    grid = cauchy._split_grid(u[None] + 0j, wts[None] + 0j, edges)
+    grid = cauchy._split_grid(u + 0j, wts + 0j, edges)
+
+    sums = partial(_kernel_sums, spec.label, _COVERS[-2:],
+                   lambda s, a, cover, count: cauchy._cauchy_sums(s, a, grid, count))
 
     def jet_fn(s, order):
         flat = np.ravel(s)
-        i = cauchy._cauchy_sums(flat, abs(flat), grid, order + 1)
+        i = sums(flat, order + 1)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
             i += np.stack(_tail_closed_forms(flat, cut, k1, k2, saw, order + 1), -1)
         return _cauchy_jet(s, s - a0, i, order, (A, B))

@@ -6,7 +6,8 @@ between the radii R_b < R_{b+1}.  A point sums directly only a band of
 P panels about |s|; the nodes past the band go through a Taylor table in
 s/u and those below it through one in u/s, the one-dimensional split of
 Greengard and Rokhlin (J. Comput. Phys. 73, 1987): about 165 terms a
-point on theorem3's grid of 1,905 nodes.
+point on theorem3's grid of 1,905 nodes.  A grid is one contour: the
+real axis (positive-type) or theorem3's ray above it.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ _TAYLOR_BINOMIALS = np.array(
 
 class _SplitGrid(NamedTuple):
     """A grid as _cauchy_sums reads it: a point's row is the count of
-    limits at or below its key."""
+    limits at or below its |s|."""
     limits: np.ndarray      # _SPLIT_RATIO * R_b, b = 1 .. panels - P
     band: np.ndarray        # (rows, 2, 15 P) view: band nodes and weights
     const: np.ndarray       # (rows, 5, 2): z's shift and factor, scales
@@ -44,21 +45,20 @@ class _SplitGrid(NamedTuple):
     width: int              # terms per point and power: 15 P + 2 J
 
 
-def _cauchy_sums(s, key, grid, count):
+def _cauchy_sums(s, a, grid, count):
     """[sum_j w_j (s + u_j)^{-m} for m = 1..count] at the flat complex
-    points s, as an (s.size, count) array: each point sums its band of
-    panels directly, the panels past it through the far table and those
-    below it through the near one.  A point's row of terms is [band |
-    far | near], summed once per power; the rows go in blocks of about
-    _CAUCHY_BLOCK terms, so a point's sums depend on that point alone.
-    The key is |s|, negated where s takes the lower ray of a two-sided
-    grid."""
+    points s, of moduli a, as an (s.size, count) array: each point sums
+    its band of panels directly, the panels past it through the far table
+    and those below it through the near one.  A point's row of terms is
+    [band | far | near], summed once per power; the rows go in blocks of
+    about _CAUCHY_BLOCK terms, so a point's sums depend on that point
+    alone."""
     chunk = max(1, _CAUCHY_BLOCK // (count * grid.width))
     if s.size > chunk:
-        return np.concatenate([_cauchy_sums(s[k:k + chunk], key[k:k + chunk],
+        return np.concatenate([_cauchy_sums(s[k:k + chunk], a[k:k + chunk],
                                             grid, count)
                                for k in range(0, s.size, chunk)])
-    row = grid.limits.searchsorted(key, "right")
+    row = grid.limits.searchsorted(a, "right")
     band = grid.band[row]                   # the band's nodes and weights
     c = grid.const.take(row, axis=0)
     s = s[:, None]
@@ -82,25 +82,17 @@ def _cauchy_sums(s, key, grid, count):
     return np.add.reduce(terms, axis=2)
 
 
-def _moments(t, w, powers):
-    """Each panel's moments sum_i w_i t_i^p, p in the consecutive powers,
-    as a (panels, powers, sides) array, from (15, panels, sides) arrays t
-    and w: one power at a time."""
-    x = w * t ** powers[0]
-    m = np.empty((powers.size,) + t.shape[1:], complex)
-    for p in range(powers.size):
-        np.add.reduce(x, axis=0, out=m[p])
-        x *= t
-    return m.transpose(1, 0, 2)
-
-
-def _carried(m, q, powers):
+def _carried(t, w, q, powers):
     """At every panel boundary b (the first gives 0), the sum over the
-    panels j < b of their moments m_j times (q_{j+1} .. q_{b-1})^p, p in
-    the powers, by a doubling scan up the panels."""
-    g = np.zeros((m.shape[0] + 1,) + m.shape[1:], complex)
-    g[1:] = m
-    _scan(g, (np.append(0.0, q)[:, None] ** powers)[..., None] + np.zeros_like(g))
+    panels j < b of their moments sum_i w_i t_i^p times (q_{j+1} ..
+    q_{b-1})^p, p in the consecutive powers, from (15, panels) arrays t
+    and w: one power at a time, then a doubling scan up the panels."""
+    g = np.zeros((t.shape[1] + 1, powers.size), complex)
+    x = w * t ** powers[0]
+    for p in range(powers.size):
+        np.add.reduce(x, axis=0, out=g[1:, p])
+        x *= t
+    _scan(g, np.append(0.0, q)[:, None] ** powers + np.zeros_like(g))
     return g
 
 
@@ -121,8 +113,7 @@ def _scan(a, c):
 
 def _split_grid(u, w, radii):
     """The split of the Cauchy sums over nodes u with weights w, complex
-    (sides, 15 * panels) arrays, one side (positive-type) or two (theorem3's
-    rays above and below the real axis), with the panel radii R_b.
+    arrays of 15 * panels, with the panel radii R_b.
 
     A point s sums the band of panels lo .. lo+P-1 directly, lo the
     largest b with 4 R_b <= |s| (clipped to [0, panels - P]), and P the
@@ -143,64 +134,36 @@ def _split_grid(u, w, radii):
 
     The tables hold G/R_F and -H/R_N, so that m = 1 needs no scale and no
     binomial; they take O(nodes * terms) work, in numpy calls per term."""
-    sides, panels = u.shape[0], radii.size - 1
+    panels = radii.size - 1
     need = radii.searchsorted(_SPLIT_RATIO ** 2 * radii[1:]) - np.arange(panels)
     need = np.maximum.accumulate(need)          # least P for every b up to b
     width = np.arange(1, panels)
     band = int(np.append(width[need[panels - width] <= width], panels)[0])
     rows, j = panels - band + 1, _TAYLOR_TERMS + 2
-    # node i of panel b at [i, b, side]
-    t, wt = (np.ascontiguousarray(x.reshape(sides, panels, 15).transpose(2, 1, 0))
-             for x in (u, w))
+    # node i of panel b at [i, b]
+    t, wt = (np.ascontiguousarray(x.reshape(panels, 15).T) for x in (u, w))
     q = radii[:-1] / radii[1:]
     near, far = np.arange(float(_TAYLOR_TERMS)), np.arange(1.0, j + 1)
     # the panels' moments about R_{b+1} for H, and about R_b for G, whose
     # sums run over the panels from the top down
-    h = _moments(t / radii[1:, None], wt, near)
-    g = _moments(radii[-2::-1, None] / t[:, ::-1], wt[:, ::-1], far)
-    del t, wt
+    h = _carried(t / radii[1:], wt, q, near)
+    g = _carried(radii[-2::-1] / t[:, ::-1], wt[:, ::-1], q[::-1], far)
     # R_F is inf where the band reaches the last panel and the far table
     # is empty, so that x = 0 there; R_N at lo = 0, where the near table
     # is empty, is any radius > 0, and tau's shift of 1e300 keeps it 0
     # at s = 0
-    r_far = radii[band:].copy()
-    r_far[-1] = math.inf
+    r_far = np.append(radii[band:-1], math.inf)
     r_near = np.maximum(radii[:rows], radii[1])
-    h = _carried(h, q, near)[:rows, ::-1] / -r_near[:, None, None]
-    g = _carried(g, q[::-1], far)[rows - 1::-1] / r_far[:, None, None]
-    lo = np.arange(rows)
-    limits = _SPLIT_RATIO * radii[1:rows]
-    at = lo[None]                               # a side's rows of the table
-    if sides == 2:
-        # the lower ray's rows come first, in reverse, then P - 1 unused
-        # rows and the upper ray's: a key -|s| below the real axis finds
-        # row rows-1-lo among the limits negated, |s| row rows+P-1+lo
-        limits = np.concatenate([-np.nextafter(limits, 0.0)[::-1],
-                                 np.zeros(band), limits])
-        at = np.stack([lo + rows + band - 1, lo[::-1]])
     # row lo: [G_{lo+P, 1..J} / R_F | 0, 0, -H_{lo, K-1..0} / R_N, 0, 0]
-    table = np.zeros((limits.size + 1, 2 * j + 2), complex)
-    table[at, :j] = g.transpose(2, 0, 1)
-    table[at, j + 2:2 * j] = h.transpose(2, 0, 1)
-    del g, h
+    table = np.zeros((rows, 2 * j + 2), complex)
+    table[:, :j] = g[rows - 1::-1] / r_far[:, None]
+    table[:, j + 2:2 * j] = h[:rows, ::-1] / -r_near[:, None]
     scale = np.stack([1.0 / r_far, -1.0 / r_near], -1)
     shift = np.zeros_like(scale)
     shift[0, 1] = 1e300
-    const = np.zeros((limits.size + 1, 5, 2), complex)
-    const[at] = np.stack([shift, [-1.0, 1.0] * scale ** [1.0, -1.0],
-                          scale ** 0, scale, scale ** 2], 1)
-    nodes = np.stack([u, w])
-    if sides == 2:
-        nodes = np.concatenate([nodes[:, 1:, ::-1], nodes[:, :1]], axis=1)
-    nodes = nodes.reshape(2, -1)
-    item = nodes.itemsize
-    return _SplitGrid(
-        limits,
-        np.lib.stride_tricks.as_strided(
-            nodes, (limits.size + 1, 2, 15 * band),
-            (15 * item, nodes.strides[0], item), writeable=False),
-        const,
-        np.lib.stride_tricks.as_strided(
-            table, (limits.size + 1, 3, 2 * j), (table.strides[0], item, item),
-            writeable=False),
-        15 * band + 2 * j)
+    const = np.stack([shift, [-1.0, 1.0] * scale ** [1.0, -1.0],
+                      scale ** 0, scale, scale ** 2], 1).astype(complex)
+    window = np.lib.stride_tricks.sliding_window_view   # read-only views
+    nodes = window(np.stack([u, w]), 15 * band, 1)[:, ::15].transpose(1, 0, 2)
+    return _SplitGrid(_SPLIT_RATIO * radii[1:rows], nodes, const,
+                      window(table, 2 * j, 1)[:, :3], 15 * band + 2 * j)

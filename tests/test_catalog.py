@@ -512,9 +512,9 @@ def test_kernel_jet_takes_one_cauchy_sum_per_order(monkeypatch, theorem3_power):
 
     counts = []
 
-    def spy(s, key, grid, count, fn=cauchy._cauchy_sums):
+    def spy(s, a, grid, count, fn=cauchy._cauchy_sums):
         counts.append(count)
-        return fn(s, key, grid, count)
+        return fn(s, a, grid, count)
 
     monkeypatch.setattr(cauchy, "_cauchy_sums", spy)
     theorem3_power.log_gamma(np.array([2.0 + 0j, 5.0 + 1j]))
@@ -622,9 +622,9 @@ def test_cauchy_blocks_do_not_change_a_field(monkeypatch, theorem3_power,
     f = theorem3_power if kind == "theorem3" else factorial_measure
     blocks = []
 
-    def spy(s, key, grid, count, fn=cauchy._cauchy_sums):
+    def spy(s, a, grid, count, fn=cauchy._cauchy_sums):
         blocks.append(max(1, cauchy._CAUCHY_BLOCK // (count * grid.width)))
-        return fn(s, key, grid, count)
+        return fn(s, a, grid, count)
 
     monkeypatch.setattr(cauchy, "_cauchy_sums", spy)
     rng = np.random.default_rng(5)
@@ -747,33 +747,30 @@ def _split_test_points(limits, alpha0):
 def _assert_split_matches_direct(s, u, w, radii):
     from mellin_saddle.cauchy import _cauchy_sums, _split_grid
 
-    grid = _split_grid(u, w, radii)
-    lower = np.signbit(s.imag) if u.shape[0] == 2 else np.zeros(s.size, bool)
-    key = np.where(lower, -abs(s), abs(s))
-    got = _cauchy_sums(s, key, grid, 3)
-    for side in range(u.shape[0]):
-        pick = lower == bool(side)
-        want, size = _direct_cauchy_sums(s[pick], u[side], w[side], 3)
-        # 4 eps at m = 1, 2 (3.6 the most seen) and 6 eps at m = 3 (5.0):
-        # there the leading near term tau^3 carries three times tau's
-        # rounding, and the all-nodes sum's d^3 three times that of d
-        bound = np.array([4.0, 4.0, 6.0]) * np.finfo(float).eps * size
-        assert np.all(np.abs(got[pick] - want) <= bound), \
-            np.max(np.abs(got[pick] - want) / size, axis=0) / np.finfo(float).eps
+    got = _cauchy_sums(s, abs(s), _split_grid(u, w, radii), 3)
+    want, size = _direct_cauchy_sums(s, u, w, 3)
+    # 4 eps at m = 1, 2 (3.6 the most seen) and 6 eps at m = 3 (5.0):
+    # there the leading near term tau^3 carries three times tau's
+    # rounding, and the all-nodes sum's d^3 three times that of d
+    bound = np.array([4.0, 4.0, 6.0]) * np.finfo(float).eps * size
+    assert np.all(np.abs(got - want) <= bound), \
+        np.max(np.abs(got - want) / size, axis=0) / np.finfo(float).eps
 
 
 @pytest.mark.parametrize("ell", [ell_power(1.0, 1.0), ell_exp_sqrt_log(1.0)],
                          ids=["power", "exp_sqrt_log"])
 def test_split_cauchy_sums_match_the_direct_sum_on_theorem3(ell):
     # every power m = 1..3 within a few eps of sum |w| |s + u|^-m of the
-    # all-nodes sum, on each point's own kernel grid
-    from mellin_saddle.catalog import _COVERS, _theorem3_rays
+    # all-nodes sum, on each point's own kernel grid: the ray above the
+    # real axis, which the points below it reach through conj(s)
+    from mellin_saddle.catalog import _COVERS, _theorem3_ray
 
-    u0, w0, radii0 = _theorem3_rays(ell, 0)
+    u0, w0, radii0 = _theorem3_ray(ell, 0)
     s = _split_test_points(4.0 * radii0, math.pi)
+    s = np.where(np.signbit(s.imag), s.conjugate(), s)
     cover = _COVERS.searchsorted(abs(s))
     for c in np.unique(cover):
-        _assert_split_matches_direct(s[cover == c], *_theorem3_rays(ell, c))
+        _assert_split_matches_direct(s[cover == c], *_theorem3_ray(ell, c))
 
 
 @pytest.mark.parametrize("spec", [positive_type_factorial(),
@@ -787,7 +784,7 @@ def test_split_cauchy_sums_match_the_direct_sum_on_positive_type(spec):
     u, w = _gauss_panels(edges)
     w = w * np.maximum(spec.measure_density(u), 0.0)
     s = _split_test_points(4.0 * edges, math.pi)
-    _assert_split_matches_direct(s, u[None] + 0j, w[None] + 0j, edges)
+    _assert_split_matches_direct(s, u + 0j, w + 0j, edges)
 
 
 def test_theorem3_jet_refuses_past_its_last_cover():
@@ -811,6 +808,84 @@ def test_theorem3_jet_refuses_past_its_last_cover():
         for field in ("val", "d1", "d2"):
             assert np.isnan(getattr(both, field)[0])
             assert np.isnan(getattr(one, field))
+            assert getattr(both, field)[1:].tobytes() == \
+                getattr(alone, field).tobytes()
+
+
+@pytest.mark.parametrize("ell", [ell_power(1.0, 1.0), ell_exp_sqrt_log(1.0)],
+                         ids=["power", "exp_sqrt_log"])
+def test_theorem3_jet_below_the_axis_is_the_conjugate(ell):
+    # Schwarz reflection: (log ell)' is real on the axis, so the jet at
+    # conj(s) is the exact conjugate of the jet at s, at every order, for
+    # one point and for arrays, x - 0j beside x + 0j included
+    f = build_theorem3(ell)
+    rng = np.random.default_rng(28)
+    pts = np.exp(rng.uniform(-3.0, 20.0, 60) + 1j * rng.uniform(0.0, 3.1, 60))
+    pts = np.concatenate([pts, [3.0 + 0j, 5.0 + 0j, 1e9 + 0j, 0.4 + 1e-12j]])
+    mirror = pts.conjugate()
+    assert np.all(np.signbit(mirror.imag))
+    for order in (0, 1, 2):
+        fields = ("val", "d1", "d2")[:order + 1]
+        up, down = f.jet(pts, order), f.jet(mirror, order)
+        both = f.jet(np.concatenate([pts, mirror]), order)
+        for field in fields:
+            want = getattr(up, field).conjugate()
+            assert np.array_equal(getattr(down, field), want), (order, field)
+            assert np.array_equal(getattr(both, field)[pts.size:], want)
+        for s in pts[::5]:
+            one_up, one_down = f.jet(complex(s), order), f.jet(complex(s).conjugate(), order)
+            for field in fields:
+                assert getattr(one_down, field) == getattr(one_up, field).conjugate()
+
+
+def test_theorem3_refuses_an_ell_not_real_on_the_axis():
+    # i (log ell)' of ell_power(1, 1) is analytic, but imaginary on the
+    # axis: the ray's sum at s = c is not real, and the mirror ray's
+    # conjugate would not give the lower half-plane
+    ell = SlowlyVaryingEll(log_ell=np.log1p, c=1.0,
+                           dlog_ell=lambda u: 1.0 / (1.0 + u))
+    rotated = SlowlyVaryingEll(log_ell=np.log1p, c=1.0,
+                               dlog_ell=lambda u: np.exp(0.5j) / (1.0 + u)
+                               if np.iscomplexobj(u) else 1.0 / (1.0 + u))
+    build_theorem3(ell)
+    with pytest.raises(BuildError, match="not real on the axis"):
+        build_theorem3(rotated)
+
+
+@pytest.mark.parametrize("s", [0.0, 1e-300, 1e-12, 1e-8])
+def test_positive_type_factorial_at_small_s(factorial_measure, s):
+    # the tails' series in s/cut: log Gamma(1 + s), psi(1 + s) and
+    # psi'(1 + s) down to s = 0, with no warning, for one point and arrays
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        one = factorial_measure.jet(complex(s))
+        arr = factorial_measure.jet(np.array([s, 2.0], dtype=complex))
+    for j in (one, Jet2(arr.val[0], arr.d1[0], arr.d2[0])):
+        assert abs(j.val - sp.loggamma(1.0 + s)) <= 1e-13
+        assert abs(j.d1 - sp.digamma(1.0 + s)) <= 1e-13
+        assert abs(j.d2 - sp.polygamma(1, 1.0 + s)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [positive_type_factorial(),
+                                  positive_type_iterated_log(),
+                                  positive_type_degenerate(0.5)],
+                         ids=["factorial", "iterated_log_jump", "degenerate"])
+def test_positive_type_jet_refuses_past_1e154(spec):
+    # the kernel weights' one bound: SpecError past |s| = 1e154 and at
+    # inf, finite fields at 1e154, NaN fields at a NaN point; no warning
+    f = build_positive_type(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (1e200 + 0j, 1e300 + 0j, complex(math.inf, 0.0),
+                  np.array([2.0 + 0j, 1e155j])):
+            with pytest.raises(SpecError, match=r"\|s\| <= 1e\+154, got \|s\|"):
+                f.jet(s)
+        edge = f.jet(1e154 + 0j)
+        assert all(np.isfinite(x) for x in (edge.val, edge.d1, edge.d2))
+        both = f.jet(np.array([complex(math.nan, 0.0), 3.0 + 1.0j]))
+        alone = f.jet(np.array([3.0 + 1.0j]))
+        for field in ("val", "d1", "d2"):
+            assert np.isnan(getattr(both, field)[0])
             assert getattr(both, field)[1:].tobytes() == \
                 getattr(alone, field).tobytes()
 

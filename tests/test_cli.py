@@ -100,6 +100,17 @@ def test_verify_moments_exit_zero(capsys, tmp_path):
     assert doc["summary"]["fail"] == 0
 
 
+def test_verify_moments_past_exps_range(capsys):
+    # gamma(n+1) = (n!)^30 overflows a double at n = 14: the report
+    # compares on its log scale, and the CLI exits with a report
+    spec = ('{"kind":"power","params":{"a":30},'
+            '"children":[{"kind":"gamma_shift"}]}')
+    code, out, err = run_cli(capsys, "verify", "moments", "--spec", spec,
+                             "--n-max", "15")
+    assert code in (0, 1), err
+    assert len(json.loads(out)["cases"]) == 16
+
+
 def test_verify_positivity_verb(capsys):
     code, out, err = run_cli(
         capsys, "verify", "positivity", "--spec",

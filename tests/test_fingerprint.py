@@ -128,13 +128,13 @@ def test_region_lines_move_and_raise(tmp_path):
     assert re.search(r"^classify\s+1\s+0\s+inf$", out.stdout, re.M), out.stdout
 
 
-def test_dump_has_459_labelled_calls():
+def test_dump_has_460_labelled_calls():
     # calls() builds the four weights and the thunks; no thunk runs here
     spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
     fp = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fp)
     labels = [label for label, _ in fp.calls()]
-    assert len(labels) == len(set(labels)) == 459
+    assert len(labels) == len(set(labels)) == 460
     kinds = Counter(label.split(" ", 1)[0] for label in labels)
     for kind in ("classify", "K_asymptotic", "local_gaussian_saddle",
                  "point_with_saddle_radius"):
@@ -143,8 +143,8 @@ def test_dump_has_459_labelled_calls():
     assert kinds["solve"] == 39
     # the 36 grid points and two iterated_log points past a fold
     assert kinds["boundary_psi"] == 38
-    # 9 one-point jets near the sector edge and 4 on arrays
-    assert (kinds["weight"], kinds["jet"], kinds["cli"]) == (12, 13, 11)
+    # 9 one-point jets near the sector edge and 5 on arrays
+    assert (kinds["weight"], kinds["jet"], kinds["cli"]) == (12, 14, 11)
     # moment n = 1..3 on each of the four weights
     assert kinds["moment"] == 12
     # the 36 grid points and six iterated_log points off the grid

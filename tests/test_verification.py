@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from mellin_saddle import (build_positive_type, ell_exp_sqrt_log, ell_power,
-                           monomial_exponent, positive_type_degenerate,
+                           gamma_shift, monomial_exponent, power,
+                           positive_type_degenerate,
                            positive_type_iterated_log, scan_ratio,
                            verify_carleman, verify_moments, verify_positivity,
                            verify_theorem3_limits)
@@ -26,6 +27,27 @@ def test_moments_shifted(gamma1):
     assert rep.passed
     assert {c.descriptor: c.expected for c in rep.cases}["n=2"] == \
         pytest.approx(6.0)
+
+
+def test_moments_past_exps_range():
+    # gamma(n+1) = (n!)^30 passes e^709 at n = 14: both sides go on its
+    # log scale, with no warning and no OverflowError; the cases within
+    # exp's range keep measured = value e^log_scale, expected = e^lg
+    import warnings
+
+    f = power(gamma_shift(0.0), 30.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = verify_moments(f, 15)
+        cubic = verify_moments(monomial_exponent(3.0), 15)
+    assert [c.descriptor for c in rep.cases] == [f"n={n}" for n in range(16)]
+    for c in rep.cases[14:]:
+        assert c.expected == 1.0 and c.passed and "times e^-" in c.note
+    lg = 30.0 * math.lgamma(13.0 + 1.0)
+    assert rep.cases[13].expected == pytest.approx(math.exp(lg), rel=1e-12)
+    assert "times" not in rep.cases[13].note
+    assert all(math.isfinite(c.measured) for c in cubic.cases)
+    assert "times e^-4096" in cubic.cases[15].note
 
 
 def test_moments_rejects_large_order(gamma0):
