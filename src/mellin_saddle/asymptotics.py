@@ -32,9 +32,8 @@ from .catalog import _K_DELTA, AdmissibleFunction
 from .errors import QuadratureError, RegionError
 from .saddle import RegionTag, SaddleSolution, solve
 from .surface import LogSurfacePoint, Tolerances
-from .transforms import _path_integral
+from .transforms import _folded, _path_integral
 
-_SCALE_LIMIT = 300.0
 _E_DELTA = 0.05       # E's growth region pi/2 + _E_DELTA and transition band
 
 
@@ -49,10 +48,9 @@ class AsymptoticValue:
 
 
 def _split_scale(logval: complex, region: RegionTag, warnings) -> AsymptoticValue:
-    re, im = logval.real, logval.imag
-    if abs(re) <= _SCALE_LIMIT:
-        return AsymptoticValue(cmath.exp(logval), 0.0, region, list(warnings))
-    return AsymptoticValue(cmath.exp(1j * im), re, region, list(warnings))
+    # e^{i Im} e^{Re} has the bits of cmath.exp(logval) where _folded folds
+    value, _, log_scale = _folded(cmath.exp(1j * logval.imag), logval.real)
+    return AsymptoticValue(value, log_scale, region, list(warnings))
 
 
 def _saddle_terms(f: AdmissibleFunction, sol: SaddleSolution):

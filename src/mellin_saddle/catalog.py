@@ -28,10 +28,17 @@ Builders cover: shifted factorial weights Gamma(s+c), exponential
 rescaling, shift-normalization, iterated-log weights exp(a*s*log_k^b(s+c)),
 powers/products/quotients, the (log L(s+1))^s closure, slowly-varying
 integral constructors, and Stieltjes-positive integral representations.
+
+A FunctionSpec (JSON) names a kind per node; build binds its params by
+name to the kind's builder, whose signature declares their names, types
+(float or int) and defaults, and the children as its leading weight
+parameters.  theorem3 and positive_type bind theirs to a preset's
+builder.  Any other key is a SpecError, raised before the builder runs.
 """
 from __future__ import annotations
 
 import cmath
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -494,27 +501,19 @@ def ell_exp_sqrt_log(c: float = 1.0) -> SlowlyVaryingEll:
         c=c, label="exp(sqrt(log(1+rho)))")
 
 
-_ELL_PRESETS = {
-    "power": lambda p: ell_power(_param(p, "a", 1.0, float),
-                                 _param(p, "c", 1.0, float)),
-    "exp_sqrt_log": lambda p: ell_exp_sqrt_log(_param(p, "c", 1.0, float)),
-}
+_ELL_PRESETS = {"power": ell_power, "exp_sqrt_log": ell_exp_sqrt_log}
 
 
-def _cauchy_jet(s, q, i, order, ab=None):
-    """Jet of log gamma = (A + B s +) q^2 I1 at s, from the Cauchy sums
+def _cauchy_jet(s, q, i, order, A, B):
+    """Jet of log gamma = A + B s + q^2 I1 at s, from the Cauchy sums
     i = [I1, .., I_{order+1}] of the kernel 1/(s+u), an (s.size, order+1)
-    array; ab = (A, B) is added only when given, so q^2 I1 alone rounds
-    as written.  One number s gets Python complex fields."""
+    array.  One number s gets Python complex fields."""
     i = i[0].tolist() if isinstance(s, complex) else [x.reshape(s.shape) for x in i.T]
-    val = q * q * i[0]
-    if ab is not None:
-        val = ab[0] + ab[1] * s + val
+    val = A + B * s + q * q * i[0]
     if order < 1:
         return Jet2(val)
-    d1 = 2.0 * q * i[0] if ab is None else ab[1] + 2.0 * q * i[0]
     # 2 (q^2 I3), not (2 q) q I3: the same bits, and no overflow at |s| = 1e154
-    return Jet2(val, d1 - q * q * i[1],
+    return Jet2(val, B + 2.0 * q * i[0] - q * q * i[1],
                 2.0 * i[0] - 4.0 * q * i[1] + 2.0 * (q * q * i[2])
                 if order >= 2 else None)
 
@@ -610,12 +609,12 @@ def build_theorem3(ell: SlowlyVaryingEll) -> AdmissibleFunction:
         if isinstance(s, complex):      # one point flips in Python
             lower = math.copysign(1.0, s.imag) < 0.0
             i = sums(np.array([s.conjugate() if lower else s]), order + 1)
-            return _cauchy_jet(s, s, i.conj() if lower else i, order)
+            return _cauchy_jet(s, s, i.conj() if lower else i, order, 0.0, 0.0)
         flat = np.ravel(s)
         lower = np.signbit(flat.imag)
         i = sums(np.where(lower, flat.conjugate(), flat), order + 1)
         return _cauchy_jet(s, s, np.conjugate(i, out=i, where=lower[:, None]),
-                           order)
+                           order, 0.0, 0.0)
 
     return AdmissibleFunction(f"scale[{ell.label}, c={ell.c:g}]", jet_fn,
                               ell.c, math.pi)
@@ -738,7 +737,7 @@ def build_positive_type(spec: PositiveTypeSpec) -> AdmissibleFunction:
         i = sums(flat, order + 1)
         if k1 != 0.0 or k2 != 0.0 or saw != 0.0:
             i += np.stack(_tail_closed_forms(flat, cut, k1, k2, saw, order + 1), -1)
-        return _cauchy_jet(s, s - a0, i, order, (A, B))
+        return _cauchy_jet(s, s - a0, i, order, A, B)
 
     pos = np.nonzero(m > 0)[0]      # c_gamma: the least node the measure charges
     c_gamma = float(u[pos[0]]) if pos.size else 0.0
@@ -801,20 +800,16 @@ def positive_type_iterated_log(beta: float = 1.0, k: int = 1, c: float = 10.0,
                             label=f"jump rep of exp({beta:g}s*log_{k+1}(s+{c:g}))")
 
 
-def positive_type_degenerate(tau: float) -> PositiveTypeSpec:
+def positive_type_degenerate(tau: float = 0.0) -> PositiveTypeSpec:
     """Zero measure, gamma(s) = e^{tau s}: a pure scale atom."""
     return PositiveTypeSpec(A=0.0, B=tau, a=0.0,
                             measure_density=lambda u: np.zeros_like(u),
                             support_cut=1.0, label=f"degenerate exp({tau:g}s)")
 
 
-_POSITIVE_PRESETS = {
-    "factorial": lambda p: positive_type_factorial(_param(p, "cut", 400, int)),
-    "iterated_log_jump": lambda p: positive_type_iterated_log(
-        _param(p, "beta", 1.0, float), _param(p, "k", 1, int),
-        _param(p, "c", 10.0, float), _param(p, "cut", 1e5, float)),
-    "degenerate": lambda p: positive_type_degenerate(_param(p, "tau", 0.0, float)),
-}
+_POSITIVE_PRESETS = {"factorial": positive_type_factorial,
+                     "iterated_log_jump": positive_type_iterated_log,
+                     "degenerate": positive_type_degenerate}
 
 
 # ---------------------------------------------------------------------------
@@ -835,37 +830,57 @@ def _number(conv, raw, what):
     raise SpecError(f"{what} must be {kind}, got {raw!r}")
 
 
-def _param(p: dict, key: str, default, conv):
-    """Parameter key through conv; default None makes it required."""
-    return _number(conv, p[key] if default is None else p.get(key, default),
-                   f"parameter {key!r}")
+@cache
+def _signature(builder):
+    """builder's spec, read once from its signature: the count of its leading
+    weight parameters (the children), name -> conv (float or int) of the rest
+    and those without a default; None for both where it takes **params."""
+    ps = inspect.signature(builder).parameters.values()
+    if any(p.kind is p.VAR_KEYWORD for p in ps):
+        return 0, None, None
+    named = [p for p in ps if p.annotation != "AdmissibleFunction"]
+    return (len(ps) - len(named),
+            {p.name: {"float": float, "int": int}[p.annotation] for p in named},
+            {p.name for p in named if p.default is p.empty})
 
 
-def _preset(presets: dict, name, what: str):
-    if name not in presets:
+def _bound(builder, params: dict, what: str) -> dict:
+    """params as builder's keyword arguments, each number through _number;
+    a key it does not take, or a required one left out, is a SpecError."""
+    _, convs, required = _signature(builder)
+    if convs is None:
+        return params
+    if not params.keys() <= convs.keys():
+        raise SpecError(f"{what} takes no parameter {min(params.keys() - convs)!r}; "
+                        f"it takes {sorted(convs)}")
+    if not required <= params.keys():
+        raise SpecError(f"{what} is missing parameter {min(required - params.keys())!r}")
+    return {k: _number(convs[k], x, f"parameter {k!r}") for k, x in params.items()}
+
+
+def _preset(presets: dict, name, what: str, params: dict):
+    """The preset name of presets, built with params bound to it."""
+    if not isinstance(name, str) or name not in presets:
         raise SpecError(f"unknown {what} preset {name!r}; "
                         f"expected one of {sorted(presets)}")
-    return presets[name]
+    return presets[name](**_bound(presets[name], params, f"{what} preset {name!r}"))
 
 
-# kind -> (number of children, builder(params, built children))
-_KINDS = {
-    "gamma_shift": (0, lambda p, k: gamma_shift(_param(p, "c", 0.0, float))),
-    "exp_tau_scale": (1, lambda p, k: exp_scale(k[0], _param(p, "tau", None, float))),
-    "shift_normalize": (1, lambda p, k: shift_normalize(
-        k[0], _param(p, "c", None, float))),
-    "iterated_log": (0, lambda p, k: iterated_log(
-        _param(p, "a", 1.0, float), _param(p, "b", 1.0, float),
-        _param(p, "k", 1, int), _param(p, "c", math.e, float))),
-    "power": (1, lambda p, k: power(k[0], _param(p, "a", None, float))),
-    "product": (2, lambda p, k: product(*k)),
-    "quotient": (2, lambda p, k: quotient(*k)),
-    "log_of_L": (1, lambda p, k: log_of_scale(k[0])),
-    "theorem3": (0, lambda p, k: build_theorem3(
-        _preset(_ELL_PRESETS, p.get("ell", "power"), "ell")(p))),
-    "positive_type": (0, lambda p, k: build_positive_type(
-        _preset(_POSITIVE_PRESETS, p.get("preset", "factorial"), "positive-type")(p))),
-}
+def _theorem3_kind(ell: str = "power", **params) -> AdmissibleFunction:
+    return build_theorem3(_preset(_ELL_PRESETS, ell, "ell", params))
+
+
+def _positive_type_kind(preset: str = "factorial", **params) -> AdmissibleFunction:
+    return build_positive_type(_preset(_POSITIVE_PRESETS, preset, "positive-type", params))
+
+
+# kind -> builder: a spec's children are its leading weight parameters, and
+# its params bind to the rest by name (_signature)
+_KINDS = {"gamma_shift": gamma_shift, "exp_tau_scale": exp_scale,
+          "shift_normalize": shift_normalize, "iterated_log": iterated_log,
+          "power": power, "product": product, "quotient": quotient,
+          "log_of_L": log_of_scale, "theorem3": _theorem3_kind,
+          "positive_type": _positive_type_kind}
 
 
 @dataclass
@@ -878,15 +893,19 @@ class FunctionSpec:
         if self.kind not in _KINDS:
             raise SpecError(f"unknown spec kind {self.kind!r}; "
                             f"expected one of {sorted(_KINDS)}")
-        want = _KINDS[self.kind][0]
+        want = _signature(_KINDS[self.kind])[0]
         if len(self.children) != want:
             raise SpecError(f"kind {self.kind!r} takes {want} children, "
                             f"got {len(self.children)}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "FunctionSpec":
-        if not isinstance(d, dict) or "kind" not in d:
-            raise SpecError(f"spec must be an object with a 'kind' field, got {d!r}")
+        if not (isinstance(d, dict) and isinstance(d.get("kind"), str)
+                and isinstance(d.get("params", {}), dict)
+                and isinstance(d.get("children", []), list)
+                and d.keys() <= {"kind", "params", "children"}):
+            raise SpecError("a spec is an object with a string 'kind', and an object "
+                            f"'params' and a list 'children' if any; got {d!r}")
         kids = [cls.from_dict(k) for k in d.get("children", [])]
         return cls(kind=d["kind"], params=dict(d.get("params", {})), children=kids)
 
@@ -906,12 +925,11 @@ class FunctionSpec:
 
 
 def build(spec: FunctionSpec) -> AdmissibleFunction:
-    """Construct the weight described by a FunctionSpec tree."""
-    kids = [build(c) for c in spec.children]
-    try:
-        return _KINDS[spec.kind][1](spec.params, kids)
-    except KeyError as e:
-        raise SpecError(f"kind {spec.kind!r} is missing parameter {e}") from e
+    """Construct the weight described by a FunctionSpec tree; a node's
+    params are bound before its children are built."""
+    builder = _KINDS[spec.kind]
+    kwargs = _bound(builder, spec.params, f"kind {spec.kind!r}")
+    return builder(*[build(c) for c in spec.children], **kwargs)
 
 
 # ---------------------------------------------------------------------------

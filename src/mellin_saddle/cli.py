@@ -45,12 +45,13 @@ TABLE_COLUMNS = ["log_r", "psi", "numeric_re", "numeric_im", "numeric_log_scale"
                  "region"]
 
 
-def _load_spec(text: str) -> FunctionSpec:
-    candidate = text.strip()
-    if not candidate.startswith("{") and os.path.exists(candidate):
-        with open(candidate, "r", encoding="utf-8") as fh:
-            candidate = fh.read()
-    return FunctionSpec.from_json(candidate)
+def _weight(args) -> AdmissibleFunction:
+    """The weight of --spec, a JSON file path or inline JSON."""
+    text = args.spec.strip()
+    if not text.startswith("{") and os.path.exists(text):
+        with open(text, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return build(FunctionSpec.from_json(text))
 
 
 def _parse_kv(text: str, keys) -> dict:
@@ -69,26 +70,26 @@ def _parse_kv(text: str, keys) -> dict:
 
 
 def _parse_range(v: str):
-    """A..B[:N] as (A, B, N or None), a single value V as (V, V, 1)."""
-    lo, rest = v.split("..", 1) if ".." in v else (v, f"{v}:1")
+    """A..B[:N], or V as V..V, as (A, B, N); N is 1 unless given, and >= 1."""
+    lo, rest = v.split("..", 1) if ".." in v else (v, v)
     hi, colon, n = rest.partition(":")
-    return (_number(float, lo, "range start"), _number(float, hi, "range end"),
-            _number(int, n, "range count") if colon else None)
+    n = _number(int, n, "range count") if colon else 1
+    if n < 1:
+        raise SpecError(f"range count must be >= 1, got {v!r}")
+    return _number(float, lo, "range start"), _number(float, hi, "range end"), n
 
 
 def parse_grid(text: str) -> List[LogSurfacePoint]:
     kv = _parse_kv(text, ("r", "n", "psi"))
     if "r" not in kv:
         raise SpecError(f"grid needs r=A..B, got {text!r}")
-    r_lo, r_hi, n_inline = _parse_range(kv["r"])
-    n = _number(int, kv.get("n", n_inline or 1), "grid n")
+    r_lo, r_hi, n = _parse_range(kv["r"])
+    n = _number(int, kv.get("n", n), "grid n")
     if n < 1 or r_lo <= 0:
         raise SpecError(f"grid needs n >= 1 and r_min > 0, got {text!r}")
     rs = np.geomspace(r_lo, r_hi, n) if n > 1 else np.array([r_lo])
-    psis = [0.0]
-    if "psi" in kv:
-        p_lo, p_hi, m = _parse_range(kv["psi"])
-        psis = np.linspace(p_lo, p_hi, m) if m and m > 1 else [p_lo]
+    p_lo, p_hi, m = _parse_range(kv.get("psi", "0.0"))
+    psis = np.linspace(p_lo, p_hi, m) if m > 1 else [p_lo]
     return [LogSurfacePoint(math.log(r), float(p)) for p in psis for r in rs]
 
 
@@ -123,10 +124,11 @@ def parse_contour(text: Optional[str]) -> Optional[ContourSpec]:
 
 
 def _tolerances(args) -> Tolerances:
-    max_nodes = _number(int, os.environ.get("MELLIN_MAX_NODES", 200_000),
-                        "MELLIN_MAX_NODES")
-    rel = 1e-8 if args.tol is None else args.tol
-    return Tolerances(rel_tol=rel, max_nodes=max_nodes)
+    """Tolerances with --tol and MELLIN_MAX_NODES where given, else its own."""
+    kw = {} if args.tol is None else {"rel_tol": args.tol}
+    if "MELLIN_MAX_NODES" in os.environ:
+        kw["max_nodes"] = _number(int, os.environ["MELLIN_MAX_NODES"], "MELLIN_MAX_NODES")
+    return Tolerances(**kw)
 
 
 def _saddle_fields(f: AdmissibleFunction, z: LogSurfacePoint):
@@ -140,12 +142,8 @@ def _saddle_fields(f: AdmissibleFunction, z: LogSurfacePoint):
 
 
 def _row(z, value, log_scale, abs_error, region, rho_z, theta_z):
-    return {
-        "log_r": z.log_r, "psi": z.psi,
-        "value_re": value.real, "value_im": value.imag,
-        "log_scale": log_scale, "abs_error": abs_error,
-        "region": region, "rho_z": rho_z, "theta_z": theta_z,
-    }
+    return dict(zip(COLUMNS, (z.log_r, z.psi, value.real, value.imag, log_scale,
+                              abs_error, region, rho_z, theta_z)))
 
 
 def _emit(rows, columns, args) -> None:
@@ -181,7 +179,7 @@ def _points(args) -> List[LogSurfacePoint]:
 
 def _run_eval(args) -> int:
     which = args.verb
-    f = build(_load_spec(args.spec))
+    f = _weight(args)
     tols = None if which in ("asym-K", "asym-E") else _tolerances(args)
     contour = parse_contour(getattr(args, "contour", None))
     rows = []
@@ -193,25 +191,21 @@ def _run_eval(args) -> int:
                 eval_abel_plana_rhs(f, z, args.sigma0, tol=tols)
             rows.append(_row(z, res.value, res.log_scale, res.abs_error,
                              region, rho_z, theta_z))
-        elif which == "asym-K":
+        else:   # asym-K or asym-E
             try:
-                a = K_asymptotic(f, z)
+                a = (K_asymptotic if which == "asym-K" else E_asymptotic)(f, z)
                 rows.append(_row(z, a.value, a.log_scale, 0.0,
                                  a.region.kind, rho_z, theta_z))
-            except RegionError:     # no saddle, or one outside K's region
+            except RegionError:     # K: no saddle, or one outside its region
                 rows.append(_row(z, complex(math.nan, math.nan), math.nan,
                                  math.nan, region if region == "no_saddle"
                                  else "outside", rho_z, theta_z))
-        elif which == "asym-E":
-            a = E_asymptotic(f, z)
-            rows.append(_row(z, a.value, a.log_scale, 0.0,
-                             a.region.kind, rho_z, theta_z))
     _emit(rows, COLUMNS, args)
     return 0
 
 
 def _run_saddle(args) -> int:
-    f = build(_load_spec(args.spec))
+    f = _weight(args)
     out = []
     for z in _points(args):
         row = {"log_r": z.log_r, "psi": z.psi}
@@ -231,31 +225,27 @@ def _run_saddle(args) -> int:
 
 
 def _run_moment(args) -> int:
-    f = build(_load_spec(args.spec))
-    tols = _tolerances(args)
+    f, tols = _weight(args), _tolerances(args)
+    columns = ["n", "value_re", "value_im", "log_scale", "abs_error", "converged"]
     rows = []
     for n in args.n:
         res = moment(f, n, tol=tols)
-        rows.append({"n": n, "value_re": res.value.real,
-                     "value_im": res.value.imag, "log_scale": res.log_scale,
-                     "abs_error": res.abs_error, "converged": res.converged})
-    _emit(rows, ["n", "value_re", "value_im", "log_scale", "abs_error",
-                 "converged"], args)
+        rows.append(dict(zip(columns, (n, res.value.real, res.value.imag,
+                                       res.log_scale, res.abs_error, res.converged))))
+    _emit(rows, columns, args)
     return 0
 
 
 def _run_boundary(args) -> int:
-    f = build(_load_spec(args.spec))
-    rows = []
-    for z in _points(args):
-        psi = boundary_psi(f, z.log_r, args.alpha)
-        rows.append({"log_r": z.log_r, "alpha": args.alpha, "psi_boundary": psi})
-    _emit(rows, ["log_r", "alpha", "psi_boundary"], args)
+    f = _weight(args)
+    _emit([{"log_r": z.log_r, "alpha": args.alpha,
+            "psi_boundary": boundary_psi(f, z.log_r, args.alpha)}
+           for z in _points(args)], ["log_r", "alpha", "psi_boundary"], args)
     return 0
 
 
 def _run_table(args) -> int:
-    f = build(_load_spec(args.spec))
+    f = _weight(args)
     tols = _tolerances(args)
     rows = []
     for z in _points(args):
@@ -269,12 +259,10 @@ def _run_table(args) -> int:
         else:
             num = eval_growth_sum(f, z, tol=tols)
             asym = E_asymptotic(f, z)     # 0 outside its region: no ratio
-        row = {"log_r": z.log_r, "psi": z.psi,
-               "numeric_re": num.value.real, "numeric_im": num.value.imag,
-               "numeric_log_scale": num.log_scale,
-               "asym_re": math.nan, "asym_im": math.nan,
-               "asym_log_scale": math.nan, "ratio_abs_dev": math.nan,
-               "region": region}
+        row = dict.fromkeys(TABLE_COLUMNS, math.nan)
+        row.update(log_r=z.log_r, psi=z.psi, numeric_re=num.value.real,
+                   numeric_im=num.value.imag, numeric_log_scale=num.log_scale,
+                   region=region)
         if asym is not None and abs(asym.value) > 0:
             row.update(asym_re=asym.value.real, asym_im=asym.value.imag,
                        asym_log_scale=asym.log_scale,
@@ -284,56 +272,46 @@ def _run_table(args) -> int:
     return 0
 
 
-def _run_verify(args) -> int:
-    suite = args.suite
-    if suite != "theorem3-limits" and not args.spec:
-        raise SpecError(f"verify {suite} needs --spec")
-    tols = _tolerances(args)
-    f = None if suite == "theorem3-limits" else build(_load_spec(args.spec))
-    if suite == "moments":
-        rep = verification.verify_moments(f, args.n_max, tol=tols)
-    elif suite == "positivity":
-        if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf
-                and args.t_points >= 1):
-            raise SpecError("positivity needs finite --t-min, --t-max > 0 "
-                            "and --t-points >= 1")
-        grid = np.geomspace(args.t_min, args.t_max, args.t_points)
-        rep = verification.verify_positivity(f, grid, tol=tols)
-    elif suite == "carleman":
-        rep = verification.verify_carleman(f, args.n_terms)
-    elif suite == "theorem3-limits":
-        ell = _preset(_ELL_PRESETS, args.ell, "ell")({"a": args.ell_a,
-                                                      "c": args.ell_c})
-        rep = verification.verify_theorem3_limits(ell)
-    else:  # scan-K or scan-E
-        rep = verification.scan_ratio(
-            f, suite[-1], args.psi, args.rho_targets,
-            final_max=args.final_max,
-            require_monotone_tail=not args.waive_monotone_tail, tol=tols)
-    _write(rep.to_json() + "\n", args.out)
-    return 0 if rep.passed else 1
-
-
-def _run_audit(args) -> int:
-    f = build(_load_spec(args.spec))
-    rep = audit_admissibility(f)
+def _run_report(args) -> int:
+    """Write the report of a verify suite or the audit; exit 1 if it failed."""
+    rep = args.report(args)
     _write(json.dumps(rep.to_dict(), sort_keys=True, indent=2) + "\n", args.out)
     return 0 if rep.passed else 1
+
+
+def _positivity(args):
+    tols, f = _tolerances(args), _weight(args)
+    if not (0 < args.t_min < math.inf and 0 < args.t_max < math.inf
+            and args.t_points >= 1):
+        raise SpecError("positivity needs finite --t-min, --t-max > 0 "
+                        "and --t-points >= 1")
+    grid = np.geomspace(args.t_min, args.t_max, args.t_points)
+    return verification.verify_positivity(f, grid, tol=tols)
+
+
+def _theorem3_limits(args):
+    # --ell-a goes to the preset only when given: power keeps its a = 1
+    a = {} if args.ell_a is None else {"a": args.ell_a}
+    return verification.verify_theorem3_limits(
+        _preset(_ELL_PRESETS, args.ell, "ell", dict(a, c=args.ell_c)))
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parse_args leaves it as it
-    was, so every call of main reads the same parser."""
+    was, so every call of main reads the same parser.  Each verb, and each
+    suite of verify (a sub-command of its own), takes only the flags it
+    reads.  The module docstring is the top-level --help text."""
     p = argparse.ArgumentParser(prog="mellin-saddle",
                                 description=__doc__,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="verb", required=True)
 
-    def common(sp, run, grid=True, tol=True, fmt=True):
-        sp.set_defaults(run=run)
-        sp.add_argument("--spec", "-s", required=True,
-                        help="weight spec: JSON file path or inline JSON")
+    def common(sp, run, grid=True, tol=True, fmt=True, spec=True, **defaults):
+        sp.set_defaults(run=run, **defaults)
+        if spec:
+            sp.add_argument("--spec", "-s", required=True,
+                            help="weight spec: JSON file path or inline JSON")
         if grid:
             where = sp.add_mutually_exclusive_group()
             where.add_argument("--grid", help="r=A..B,n=N[,psi=P|psi=A..B:M]")
@@ -368,30 +346,41 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, _run_table)
     sp.add_argument("--which", choices=("K", "E"), required=True)
 
-    sp = sub.add_parser("verify")
-    sp.set_defaults(run=_run_verify)
-    sp.add_argument("suite", choices=("moments", "positivity", "carleman",
-                                      "theorem3-limits", "scan-K", "scan-E"))
-    sp.add_argument("--spec", "-s", help="weight spec (JSON path or inline)")
-    sp.add_argument("--tol", type=float)
-    sp.add_argument("--out")
+    suites = sub.add_parser("verify").add_subparsers(dest="suite", required=True)
+
+    def suite(name, report, spec=True, tol=True):
+        sp = suites.add_parser(name)
+        common(sp, _run_report, grid=False, tol=tol, fmt=False, spec=spec,
+               report=report)
+        return sp
+
+    sp = suite("moments", lambda a: verification.verify_moments(
+        _weight(a), a.n_max, tol=_tolerances(a)))
     sp.add_argument("--n-max", type=int, default=10)
-    sp.add_argument("--n-terms", type=int, default=100_000)
+    sp = suite("positivity", _positivity)
     sp.add_argument("--t-min", type=float, default=0.5)
     sp.add_argument("--t-max", type=float, default=20.0)
     sp.add_argument("--t-points", type=int, default=15)
+    sp = suite("carleman", lambda a: verification.verify_carleman(
+        _weight(a), a.n_terms), tol=False)
+    sp.add_argument("--n-terms", type=int, default=100_000)
+    sp = suite("theorem3-limits", _theorem3_limits, spec=False, tol=False)
     sp.add_argument("--ell", default="power")
-    sp.add_argument("--ell-a", type=float, default=1.0)
+    sp.add_argument("--ell-a", type=float)
     sp.add_argument("--ell-c", type=float, default=1e-6)
-    sp.add_argument("--psi", type=float, default=0.0)
-    sp.add_argument("--rho-targets", type=float, nargs="+",
-                    default=[10.0, 20.0, 40.0, 80.0])
-    sp.add_argument("--final-max", type=float, default=0.05)
-    sp.add_argument("--waive-monotone-tail", action="store_true",
-                    help="accept ladders whose signed deviation crosses zero")
+    for name in ("scan-K", "scan-E"):
+        sp = suite(name, lambda a: verification.scan_ratio(
+            _weight(a), a.suite[-1], a.psi, a.rho_targets, final_max=a.final_max,
+            require_monotone_tail=not a.waive_monotone_tail, tol=_tolerances(a)))
+        sp.add_argument("--psi", type=float, default=0.0)
+        sp.add_argument("--rho-targets", type=float, nargs="+",
+                        default=[10.0, 20.0, 40.0, 80.0])
+        sp.add_argument("--final-max", type=float, default=0.05)
+        sp.add_argument("--waive-monotone-tail", action="store_true",
+                        help="accept ladders whose signed deviation crosses zero")
 
     sp = sub.add_parser("audit")
-    sp.set_defaults(run=_run_audit)
+    sp.set_defaults(run=_run_report, report=lambda a: audit_admissibility(_weight(a)))
     sp.add_argument("--spec", "-s", required=True)
     sp.add_argument("--out")
     return p
@@ -405,14 +394,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.run(args)
-    except SpecError as e:
-        print(f"spec error: {e} (input: {' '.join(argv or sys.argv[1:])})",
-              file=sys.stderr)
-        return 2
-    except NumericalError as e:
-        print(f"numerical failure: {e} (input: {' '.join(argv or sys.argv[1:])})",
-              file=sys.stderr)
-        return 3
+    except (SpecError, NumericalError) as e:
+        spec = isinstance(e, SpecError)
+        print(f"{'spec error' if spec else 'numerical failure'}: {e} "
+              f"(input: {' '.join(argv or sys.argv[1:])})", file=sys.stderr)
+        return 2 if spec else 3
 
 
 if __name__ == "__main__":

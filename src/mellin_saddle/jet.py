@@ -7,7 +7,12 @@ composition instead of nested finite differences.  The fields are
 either complex ndarrays, which broadcast, or Python complex numbers: the
 same arithmetic serves both, so a jet evaluated on an ndarray of points
 stays vectorized, and a jet at one point, which is what the saddle layer
-evaluates, costs Python operations instead of numpy calls.
+evaluates, costs Python operations instead of numpy calls.  The same
+arithmetic does not round the same way: on 10,000 pairs uniform in
+|Re|, |Im| <= 10, numpy's complex * and / differ in the last bit from
+Python's complex at 4,646 and 4,277 pairs, and np.log from cmath.log at
+57 points (numpy 2.4, CPython 3.11).  So a weight's jet at one point and
+on a one-element array can differ in the last bit.
 
 A jet has an order: 0 carries the value alone, 1 adds f', 2 adds f''.
 The fields past the order are None and are never computed, and each
@@ -97,13 +102,6 @@ class Jet2:
         g = self.d1 / v if n >= 1 else None
         return Jet2(cmath.log(v) if isinstance(v, complex) else np.log(v), g,
                     self.d2 / v - g * g if n >= 2 else None)
-
-    def exp(self) -> "Jet2":
-        v = self.val
-        e = cmath.exp(v) if isinstance(v, complex) else np.exp(v)
-        n = self.order
-        return Jet2(e, e * self.d1 if n >= 1 else None,
-                    e * (self.d2 + self.d1 * self.d1) if n >= 2 else None)
 
     def __repr__(self):
         return f"Jet2(val={self.val!r}, d1={self.d1!r}, d2={self.d2!r})"

@@ -31,12 +31,6 @@ class LogSurfacePoint:
             raise SpecError(f"surface point must be finite, got {self}")
 
     @classmethod
-    def from_polar(cls, r: float, psi: float = 0.0) -> "LogSurfacePoint":
-        if r <= 0:
-            raise SpecError(f"modulus must be positive, got {r}")
-        return cls(math.log(r), psi)
-
-    @classmethod
     def from_complex(cls, z: complex) -> "LogSurfacePoint":
         """Principal-sheet point for a nonzero plane number."""
         z = complex(z)
@@ -47,9 +41,6 @@ class LogSurfacePoint:
     @property
     def log_z(self) -> complex:
         return complex(self.log_r, self.psi)
-
-    def to_cartesian(self) -> complex:
-        return math.exp(self.log_r) * complex(math.cos(self.psi), math.sin(self.psi))
 
     def conj(self) -> "LogSurfacePoint":
         return LogSurfacePoint(self.log_r, -self.psi)

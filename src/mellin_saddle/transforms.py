@@ -79,10 +79,21 @@ def _saddle_radius_or(f: AdmissibleFunction, log_r: float, fallback: float) -> f
         return fallback
 
 
+def _folded(value: complex, log_scale: float, abs_error: float = 0.0):
+    """The one scaled-number rule: e^log_scale goes into value and abs_error
+    where |value| e^log_scale is within e^+-_FOLD_LIMIT and |log_scale| < 600."""
+    mag = abs(value)
+    total_log = (math.log(mag) if mag > 0 else -math.inf) + log_scale
+    if 0 < abs(log_scale) < 600.0 and -_FOLD_LIMIT < total_log < _FOLD_LIMIT:
+        fct = math.exp(log_scale)
+        return value * fct, abs_error * fct, 0.0
+    return value, abs_error, log_scale
+
+
 def _fold(value: complex, abs_error: float, nodes: int, tols: Tolerances,
           log_scale: float) -> QuadratureResult:
     """The one maker of evaluator results: folds log_scale into the value
-    when the magnitude allows, and sets converged by tols.met_by."""
+    by _folded, and sets converged by tols.met_by."""
     try:
         mag = abs(value)
     except OverflowError:
@@ -90,11 +101,7 @@ def _fold(value: complex, abs_error: float, nodes: int, tols: Tolerances,
     if not math.isfinite(mag):
         raise QuadratureError(f"|value| of {value!r} at log scale "
                               f"{log_scale:.6g} is not a finite double")
-    total_log = (math.log(mag) if mag > 0 else -math.inf) + log_scale
-    if abs(log_scale) > 0 and -_FOLD_LIMIT < total_log < _FOLD_LIMIT \
-            and abs(log_scale) < 600.0:
-        fct = math.exp(log_scale)
-        value, abs_error, log_scale = value * fct, abs_error * fct, 0.0
+    value, abs_error, log_scale = _folded(value, log_scale, abs_error)
     converged = tols.met_by(value, abs_error, log_scale)
     return QuadratureResult(value, abs_error, nodes, converged, log_scale)
 

@@ -44,6 +44,14 @@ def test_parse_grid_errors():
         parse_grid("r=0..10,n=5")
 
 
+def test_range_count_below_1_is_a_spec_error():
+    for text in ("r=1..10:0", "r=1..10:-2", "r=1..10,psi=0..1:0",
+                 "r=1..10,psi=0..1:-3"):
+        with pytest.raises(SpecError, match="range count"):
+            parse_grid(text)
+    assert len(parse_grid("r=1..10:1,psi=0..1:1")) == 1
+
+
 def test_parse_at_and_contour():
     z = parse_at("r=10,psi=0.5")
     assert z.log_r == pytest.approx(math.log(10.0))
@@ -123,7 +131,36 @@ def test_verify_positivity_verb(capsys):
 def test_verify_needs_a_spec(capsys):
     code, out, err = run_cli(capsys, "verify", "moments")
     assert code == 2
-    assert "needs --spec" in err
+    assert "the following arguments are required: --spec" in err
+
+
+@pytest.mark.parametrize("spec, key", [
+    ('{"kind":"gamma_shift","params":{"cc":3}}', "'cc'"),
+    ('{"kind":"theorem3","params":{"ell":"exp_sqrt_log","a":2}}', "'a'"),
+    ('{"kind":"positive_type","params":{"preset":"factorial","tau":1}}',
+     "'tau'"),
+    ('{"kind":"power","params":{"a":2,"b":5},'
+     '"children":[{"kind":"gamma_shift"}]}', "'b'"),
+    ('{"kind":"gamma_shift","param":{"c":3}}', "'param'"),
+    # a spec's own shape: a string kind, object params, list children
+    ('{"kind":["gamma_shift"]}', "string 'kind'"),
+    ('{"kind":"gamma_shift","params":null}', "object 'params'"),
+    ('{"kind":"product","children":5}', "list 'children'"),
+    # a required parameter left out is named too
+    ('{"kind":"power","children":[{"kind":"gamma_shift"}]}', "missing "
+     "parameter 'a'"),
+])
+def test_spec_key_not_taken_exit_2(capsys, spec, key):
+    code, out, err = run_cli(capsys, "eval-K", "--spec", spec, "--at", "r=2")
+    assert code == 2 and out == ""
+    assert "spec error:" in err and key in err, err
+
+
+def test_theorem3_limits_binds_its_ell(capsys):
+    # --ell-a goes to the preset only when given: exp_sqrt_log takes no a
+    code, out, err = run_cli(capsys, "verify", "theorem3-limits", "--ell",
+                             "exp_sqrt_log", "--ell-a", "5")
+    assert code == 2 and "spec error:" in err and "'a'" in err, err
 
 
 def test_spec_error_exit_2(capsys):
@@ -156,6 +193,10 @@ def test_spec_error_exit_2(capsys):
     ("verify", "positivity", "--t-points", "0"),
     ("verify", "positivity", "--t-min", "0"),
     ("verify", "positivity", "--t-max", "inf"),
+    # range counts below 1
+    ("eval-K", "--grid", "r=1..10:0"),
+    ("eval-K", "--grid", "r=1..10,n=3,psi=0..1:0"),
+    ("eval-K", "--grid", "r=1..10,n=3,psi=0..1:-3"),
     # key=value keys the parser does not read
     ("eval-K", "--at", "r=2,pssi=1"),
     ("eval-K", "--grid", "r=1..10,N=5"),
@@ -173,6 +214,12 @@ def test_bad_argument_exit_2(capsys, argv):
     ("boundary", "--at", "r=10", "--alpha", "1.5", "--tol", "0.5"),
     ("asym-K", "--at", "r=10", "--tol", "7"),
     ("eval-K", "--at", "r=2", "--grid", "r=1..3,n=3"),
+    # a verify suite takes only the flags it reads
+    ("verify", "carleman", "--tol", "1e-3"),
+    ("verify", "theorem3-limits"),          # with the --spec below
+    ("verify", "moments", "--psi", "0.5"),
+    ("verify", "positivity", "--n-max", "3"),
+    ("verify", "scan-K", "--t-min", "0.5"),
 ])
 def test_argparse_refusal_exit_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--spec", GAMMA)

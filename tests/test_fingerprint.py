@@ -128,17 +128,19 @@ def test_region_lines_move_and_raise(tmp_path):
     assert re.search(r"^classify\s+1\s+0\s+inf$", out.stdout, re.M), out.stdout
 
 
-def test_dump_has_460_labelled_calls():
+def test_dump_has_472_labelled_calls():
     # calls() builds the four weights and the thunks; no thunk runs here
     spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
     fp = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(fp)
     labels = [label for label, _ in fp.calls()]
-    assert len(labels) == len(set(labels)) == 460
+    assert len(labels) == len(set(labels)) == 472
     kinds = Counter(label.split(" ", 1)[0] for label in labels)
     for kind in ("classify", "K_asymptotic", "local_gaussian_saddle",
                  "point_with_saddle_radius"):
         assert kinds[kind] == 36, kind
+    # K and E together at three far points on each of the four weights
+    assert kinds["asymptotics"] == 12
     # the 36 grid points and three points of the saddle stream
     assert kinds["solve"] == 39
     # the 36 grid points and two iterated_log points past a fold

@@ -17,7 +17,11 @@ payload repr((s_z, theta_z, iterations)), or repr of the region tag when
 there is no solution; classify at alpha = pi/2, with payload
 repr((kind, rho0_used)); K_asymptotic, with payload
 repr((value, log_scale, region kind)); and local_gaussian_saddle, with
-payload repr(value).  Three more solve lines sit where the continuation's
+payload repr(value).  Twelve asymptotics lines take K_asymptotic and
+E_asymptotic together, payload repr of both triples, on the four weights
+at (r, psi) in {(400, 0), (1e3, 0.5), (1e4, -1)}, where the log
+magnitude passes 300: the form folds its scale into the value on one
+side of that limit and carries it as log_scale on the other.  Three more solve lines sit where the continuation's
 step matters, from the benchmark's saddle stream: iterated_log at (log r,
 psi) = (1.4357196727634158, -3.0378341598780016), and gamma_shift0 at
 (1.8044873001772448, 8.239122839430141) and (1.9779492142397448,
@@ -56,7 +60,7 @@ the sums at conj(s).
 Last come 11 command-line runs of mellin_saddle.cli.main on the same
 weights (eval-K, eval-E, table K and E, saddle, asym-K, boundary, audit,
 verify carleman, theorem3-limits and scan-K), with payload repr((exit
-code, first 16 hex digits of the sha256 of stdout)): 460 lines in all.
+code, first 16 hex digits of the sha256 of stdout)): 472 lines in all.
 
 `compare` reads two dumps and reports, line by line, a change between
 raising and returning and a change of exception class; on the evaluator
@@ -111,10 +115,11 @@ BOUNDARY_FOLDS = ((1.3776657597691564, 2.463799677850693),  # iterated_log
 WALK_POINTS = (("iterated_log", 1.4357196727634158, -3.0378341598780016),
                ("gamma_shift0", 1.8044873001772448, 8.239122839430141),
                ("gamma_shift0", 1.9779492142397448, -8.257470683123667))
+FAR_POINTS = ((400.0, 0.0), (1e3, 0.5), (1e4, -1.0))   # asymptotics (r, psi)
 RHO_STARS = (10.0, 35.0, 100.0)
 RAY_PSIS = (0.0, 0.9, -1.5)
 UNBARRED = ("solve", "classify", "K_asymptotic", "local_gaussian_saddle",
-            "boundary_psi", "point_with_saddle_radius", "weight",
+            "asymptotics", "boundary_psi", "point_with_saddle_radius", "weight",
             "jet")  # no bar
 NO_BAR = UNBARRED + ("cli",)
 # weight-layer lines: name -> the weight, built from the package
@@ -186,7 +191,7 @@ def _classified(tag):
 
 
 def _asymptotic(a):
-    return repr((a.value, a.log_scale, a.region.kind))
+    return a.value, a.log_scale, a.region.kind
 
 
 def _placed(z_s):
@@ -270,7 +275,7 @@ def calls():
     at_saddle_points = {
         "solve": lambda f, z: _solved(ms.solve(f, z)),
         "classify": lambda f, z: _classified(ms.classify(f, z, 0.5 * math.pi)),
-        "K_asymptotic": lambda f, z: _asymptotic(ms.K_asymptotic(f, z)),
+        "K_asymptotic": lambda f, z: repr(_asymptotic(ms.K_asymptotic(f, z))),
         "local_gaussian_saddle": lambda f, z: repr(ms.local_gaussian_saddle(f, z)),
     }
     for kind, fn in at_saddle_points.items():
@@ -280,6 +285,12 @@ def calls():
                     z = ms.LogSurfacePoint(math.log(r), psi)
                     out.append((f"{kind} {name} r={r:g} psi={psi:g}",
                                 lambda fn=fn, f=f, z=z: fn(f, z)))
+    for name, f in weights.items():
+        for r, psi in FAR_POINTS:
+            out.append((f"asymptotics {name} r={r:g} psi={psi:g}",
+                        lambda f=f, z=ms.LogSurfacePoint(math.log(r), psi):
+                        repr((_asymptotic(ms.K_asymptotic(f, z)),
+                              _asymptotic(ms.E_asymptotic(f, z))))))
     for name, log_r, psi in WALK_POINTS:
         out.append((f"solve {name} log_r={log_r!r} psi={psi!r}",
                     lambda f=weights[name], z=ms.LogSurfacePoint(log_r, psi):
