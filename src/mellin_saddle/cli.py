@@ -69,22 +69,28 @@ def _parse_kv(text: str, keys) -> dict:
     return out
 
 
-def _parse_range(v: str):
-    """A..B[:N], or V as V..V, as (A, B, N); N is 1 unless given, and >= 1."""
+def _parse_range(v: str, count=None):
+    """A..B[:N], or V as V..V, as (A, B, N).  N is count when given, else
+    the inline N, else 1 for V..V; an inline N must be >= 1, and A..B with
+    A != B and no count is refused, not read as A alone."""
     lo, rest = v.split("..", 1) if ".." in v else (v, v)
     hi, colon, n = rest.partition(":")
-    n = _number(int, n, "range count") if colon else 1
-    if n < 1:
+    n = _number(int, n, "range count") if colon else None
+    if n is not None and n < 1:
         raise SpecError(f"range count must be >= 1, got {v!r}")
-    return _number(float, lo, "range start"), _number(float, hi, "range end"), n
+    lo, hi = _number(float, lo, "range start"), _number(float, hi, "range end")
+    n = n if count is None else count
+    if n is None and lo != hi:
+        raise SpecError(f"range count missing: {v!r} has two ends, give A..B:N")
+    return lo, hi, 1 if n is None else n
 
 
 def parse_grid(text: str) -> List[LogSurfacePoint]:
     kv = _parse_kv(text, ("r", "n", "psi"))
     if "r" not in kv:
         raise SpecError(f"grid needs r=A..B, got {text!r}")
-    r_lo, r_hi, n = _parse_range(kv["r"])
-    n = _number(int, kv.get("n", n), "grid n")
+    n = _number(int, kv["n"], "grid n") if "n" in kv else None
+    r_lo, r_hi, n = _parse_range(kv["r"], n)
     if n < 1 or r_lo <= 0:
         raise SpecError(f"grid needs n >= 1 and r_min > 0, got {text!r}")
     rs = np.geomspace(r_lo, r_hi, n) if n > 1 else np.array([r_lo])

@@ -1,15 +1,21 @@
 """Adaptive Gauss-Kronrod panels for complex (optionally vector) integrands.
 
 The engine is deliberately small: (G7, K15) pairs, bisection of the worst
-panel by error estimate, a node budget, and a deterministic final
+panels by error estimate, a node budget, and a deterministic final
 summation (panels sorted by left endpoint, so a fixed panel set always
-reduces in the same order).  An integrand receives the nodes of one or
-more panels in one ndarray call, 15 per panel, panel-major: every seed
-panel in the first call, then both halves of each bisected panel.  For m
-nodes it returns shape (m,) or (m, k) for batched values, or a pair
-(values, noise) whose noise[i] bounds the absolute rounding error of
-values[i].  An integrand that is not elementwise must treat each row of
-x.reshape(-1, 15) on its own.
+reduces in the same order).
+
+Each pass bisects a batch of panels, the batch rule of scipy's quad_vec
+aimed at the tolerance itself: it pops the worst panels until the errors
+popped exceed gap = err_total - max(abs_tol, rel_tol * |value|, floor),
+always taking at least one and at most _MAX_BISECTIONS, and no more than
+the node budget leaves room for.  An integrand receives the nodes of one
+or more panels in one ndarray call, 15 per panel, panel-major: every
+seed panel in the first call, then both halves of every panel bisected
+in that pass.  For m nodes it returns shape (m,) or (m, k) for batched
+values, or a pair (values, noise) whose noise[i] bounds the absolute
+rounding error of values[i].  An integrand that is not elementwise must
+treat each row of x.reshape(-1, 15) on its own.
 
 Each pass checks four stop reasons, in this order:
 
@@ -38,6 +44,7 @@ import numpy as np
 from .surface import Tolerances
 
 _EPS = np.finfo(float).eps
+_MAX_BISECTIONS = 32   # panels one pass may bisect: 960 nodes in one call
 
 # Gauss-Kronrod (7, 15) nodes and weights on [-1, 1].
 _XK = np.array([
@@ -104,14 +111,16 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
                        breakpoints=()) -> PanelResult:
     """Integrate f over [a, b] with adaptive (G7, K15) bisection.
 
-    breakpoints seeds extra panel edges (kinks, known peaks).  stop names
-    the first of the module's four stop reasons that held; converged is
-    stop == "tolerance".  The returned abs_error adds 10*eps*int|f| (and
-    on a "floor" stop the declared floor) to the summed differences, so
-    it may exceed the tolerance even when converged is True: whether a
-    result meets the caller's tolerance is decided from abs_error, not
-    from this flag.  The final value is re-summed in left-to-right panel
-    order, so a fixed panel set reduces deterministically.
+    breakpoints seeds extra panel edges (kinks, known peaks).  Each pass
+    calls f once, on both halves of every panel of the module's batch
+    rule.  stop names the first of the module's four stop reasons that
+    held; converged is stop == "tolerance".  The returned abs_error adds
+    10*eps*int|f| (and on a "floor" stop the declared floor) to the
+    summed differences, so it may exceed the tolerance even when
+    converged is True: whether a result meets the caller's tolerance is
+    decided from abs_error, not from this flag.  The final value is
+    re-summed in left-to-right panel order, so a fixed panel set reduces
+    deterministically.
     """
     edges = sorted({float(a), float(b), *(float(t) for t in breakpoints
                                           if a < t < b)})
@@ -155,7 +164,8 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
 
     while True:
         scale = float(np.abs(value_total).max())
-        if err_total <= max(Tolerances.abs_tol, rel_tol * scale):
+        target = max(Tolerances.abs_tol, rel_tol * scale)
+        if err_total <= target:
             return finish("tolerance")
         if declared and not (math.isfinite(scale) and math.isfinite(err_total)):
             return finish("non_finite")
@@ -163,12 +173,21 @@ def adaptive_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
             return finish("floor")
         if nodes + 30 > max_nodes or not heap:
             return finish("budget")
-        _, _, (lo, hi, ik, err, absint, floor) = heapq.heappop(heap)
-        err_total -= err
-        floor_total -= floor
-        value_total = value_total - ik
-        mid = 0.5 * (lo + hi)
-        add_panels([lo, mid], [mid, hi])
+        # the batch rule of the module docstring
+        gap = err_total - max(target, floor_total)
+        room = min(_MAX_BISECTIONS, (max_nodes - nodes) // 30)
+        popped = 0.0
+        los, his = [], []
+        while heap and len(los) < 2 * room and (not los or popped <= gap):
+            _, _, (lo, hi, ik, err, absint, floor) = heapq.heappop(heap)
+            popped += err
+            err_total -= err
+            floor_total -= floor
+            value_total = value_total - ik
+            mid = 0.5 * (lo + hi)
+            los += [lo, mid]
+            his += [mid, hi]
+        add_panels(los, his)
 
 
 def scan_drop(logmag, t0, bound, *, drop_log):

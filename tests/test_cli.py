@@ -46,7 +46,7 @@ def test_parse_grid_errors():
 
 def test_range_count_below_1_is_a_spec_error():
     for text in ("r=1..10:0", "r=1..10:-2", "r=1..10,psi=0..1:0",
-                 "r=1..10,psi=0..1:-3"):
+                 "r=1..10,psi=0..1:-3", "r=1..10:3,psi=0..1:0"):
         with pytest.raises(SpecError, match="range count"):
             parse_grid(text)
     assert len(parse_grid("r=1..10:1,psi=0..1:1")) == 1
@@ -197,6 +197,9 @@ def test_spec_error_exit_2(capsys):
     ("eval-K", "--grid", "r=1..10:0"),
     ("eval-K", "--grid", "r=1..10,n=3,psi=0..1:0"),
     ("eval-K", "--grid", "r=1..10,n=3,psi=0..1:-3"),
+    # a range with two ends and no count
+    ("eval-K", "--grid", "r=1..10"),
+    ("eval-K", "--grid", "r=1..10,n=3,psi=0..1"),
     # key=value keys the parser does not read
     ("eval-K", "--at", "r=2,pssi=1"),
     ("eval-K", "--grid", "r=1..10,N=5"),

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from mellin_saddle import quadrature as q
 from mellin_saddle.quadrature import adaptive_integrate, scan_drop
 from mellin_saddle.surface import Tolerances
 
@@ -111,9 +112,8 @@ def test_scan_drop_finds_cut():
 
 def _reference_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
                          breakpoints=()):
-    """The per-panel engine: one integrand call for each 15-node panel."""
-    from mellin_saddle import quadrature as q
-
+    """The per-panel engine: one integrand call for each 15-node panel,
+    bisecting the same batch of panels in each pass as the engine."""
     def panel(lo, hi):
         half = 0.5 * (hi - lo)
         y = f(0.5 * (lo + hi) + half * q._XK)
@@ -174,13 +174,23 @@ def _reference_integrate(f, a, b, *, rel_tol=1e-8, max_nodes=200_000,
             return finish("floor")
         if state["nodes"] + 30 > max_nodes or not heap:
             return finish("budget")
-        _, _, (lo, hi, ik, err, absint, floor) = heapq.heappop(heap)
-        state["err"] -= err
-        state["floor"] -= floor
-        state["value"] = state["value"] - ik
-        mid = 0.5 * (lo + hi)
-        add(lo, mid)
-        add(mid, hi)
+        # the pass's batch: the worst panels until their errors pass the
+        # gap to the target, at least one, at most the cap and the budget
+        gap = state["err"] - max(Tolerances.abs_tol, rel_tol * scale,
+                                 state["floor"])
+        room = min(q._MAX_BISECTIONS, (max_nodes - state["nodes"]) // 30)
+        popped, halves = 0.0, []
+        while heap and len(halves) < 2 * room and (not halves
+                                                   or popped <= gap):
+            _, _, (lo, hi, ik, err, absint, floor) = heapq.heappop(heap)
+            popped += err
+            state["err"] -= err
+            state["floor"] -= floor
+            state["value"] = state["value"] - ik
+            mid = 0.5 * (lo + hi)
+            halves += [(lo, mid), (mid, hi)]
+        for lo, hi in halves:
+            add(lo, hi)
 
 
 def _ripple(x):
@@ -214,16 +224,21 @@ _ENGINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(_ENGINE_CASES))
-def test_batched_engine_matches_per_panel_loop(case):
-    f, a, b, kwargs, stop = _ENGINE_CASES[case]
+def _counted_integrate(f, a, b, kwargs):
+    """adaptive_integrate's result and the node count of each call of f."""
     sizes = []
 
     def counted(x):
         sizes.append(x.size)
         return f(x)
 
-    got = adaptive_integrate(counted, a, b, **kwargs)
+    return adaptive_integrate(counted, a, b, **kwargs), sizes
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_batched_engine_matches_per_panel_loop(case):
+    f, a, b, kwargs, stop = _ENGINE_CASES[case]
+    got, sizes = _counted_integrate(f, a, b, kwargs)
     want = _reference_integrate(f, a, b, **kwargs)
     assert got.stop == want.stop == stop
     for g, w in ((got.value, want.value), (got.abs_error, want.abs_error)):
@@ -231,8 +246,29 @@ def test_batched_engine_matches_per_panel_loop(case):
         assert np.asarray(g).shape == np.asarray(w).shape
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
     assert got.nodes == want.nodes == sum(sizes)
-    # every seed panel in the first call, then both halves of a bisection
+    # every seed panel in the first call, then both halves of each of the
+    # 1 to _MAX_BISECTIONS panels that a pass bisects
     seeds = len({a, b, *(t for t in kwargs.get("breakpoints", ())
                          if a < t < b)}) - 1
     assert sizes[0] == 15 * seeds
-    assert set(sizes[1:]) <= {30}
+    assert all(n % 30 == 0 and 1 <= n // 30 <= q._MAX_BISECTIONS
+               for n in sizes[1:])
+
+
+# (nodes, integrand calls) of the one-panel-per-pass engine on each case
+_PER_PANEL_COSTS = {"scalar": (585, 20), "vector": (180, 5),
+                    "noise-breakpoints": (240, 7), "budget": (585, 20),
+                    "width-floor": (5_985, 200), "non-finite": (45, 1)}
+
+
+@pytest.mark.parametrize("case", list(_ENGINE_CASES))
+def test_batched_bisection_cost(case):
+    # a deterministic cost guard: the same stop on the same number of
+    # nodes as one bisection per pass, in at most half its integrand calls,
+    # rounded up, wherever that engine made more than 4
+    f, a, b, kwargs, stop = _ENGINE_CASES[case]
+    nodes, calls = _PER_PANEL_COSTS[case]
+    res, sizes = _counted_integrate(f, a, b, kwargs)
+    assert res.stop == stop
+    assert res.nodes == nodes
+    assert len(sizes) <= ((calls + 1) // 2 if calls > 4 else calls)
